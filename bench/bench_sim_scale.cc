@@ -21,6 +21,10 @@
 // shards, replicas, threads, wall_ms, events/sec, green throughput) so the
 // perf trajectory is recorded run-over-run.
 //
+// Both modes run the 1x100 group twice, with green-line announcements on
+// and off, and fail if announcements cost it more than 5% of its simulated
+// throughput (DESIGN.md §14).
+//
 // --smoke (or TORDB_BENCH_FAST=1) runs a reduced sweep and enforces a
 // wall-clock budget (default 90 s, TORDB_SIM_SCALE_BUDGET_MS to override):
 // the CI guard that fails loudly if the hot path regresses by an order of
@@ -57,18 +61,23 @@ int main(int argc, char** argv) {
     int shards;
     int replicas_per_shard;
     bool threads_sweep;  ///< repeat at 2 and 8 worker threads (sharded only)
+    bool announce = true;  ///< green-line announcements (DESIGN.md §14)
   };
   // Single-group rows exercise the pure EVS path (sequencer + group-wide
   // multicast + acks); sharded rows exercise N groups on one network behind
-  // the router, and additionally sweep the lane-mode worker pool.
-  std::vector<Config> sweep = {{1, 12, false}, {1, 48, false}, {1, 100, false},
-                               {4, 12, false}, {8, 12, false}, {16, 6, true},
-                               {32, 6, true},  {100, 10, true}};
+  // the router, and additionally sweep the lane-mode worker pool. The 1x100
+  // group also runs with announcements off: announcements must cost large
+  // groups nothing measurable (the gate below), which 3-replica shards
+  // cannot show.
+  std::vector<Config> sweep = {{1, 12, false},       {1, 48, false},  {1, 100, false},
+                               {1, 100, false, false}, {4, 12, false}, {8, 12, false},
+                               {16, 6, true},        {32, 6, true},   {100, 10, true}};
   std::vector<int> threads = {1, 2, 8};
   SimDuration warmup = millis(500);
   SimDuration measure = seconds(2);
   if (smoke) {
-    sweep = {{1, 12, false}, {2, 6, false}, {4, 3, true}};
+    sweep = {{1, 12, false},        {1, 48, false}, {1, 100, false},
+             {1, 100, false, false}, {2, 6, false},  {4, 3, true}};
     threads = {1, 4};
     measure = seconds(1);
   }
@@ -82,6 +91,7 @@ int main(int argc, char** argv) {
   bench::JsonRows json;
   bool identical = true;
   double speedup_at_16 = 0;  // best 8-thread speedup at >= 16 shards
+  double group100_on = 0, group100_off = 0;  // 1x100 green/s, announcements on/off
   for (const Config& c : sweep) {
     const int total_replicas = c.shards * c.replicas_per_shard;
     // Clients: one closed-loop writer per replica, capped so the 100-shard
@@ -95,8 +105,11 @@ int main(int argc, char** argv) {
       // the historical harness-cost trajectory. Sweep rows run lane mode at
       // every thread count, including the 1-worker lane baseline.
       const int t_arg = c.threads_sweep ? t : 0;
-      const auto p =
-          measure_sim_scale(c.shards, c.replicas_per_shard, clients, warmup, measure, 1, t_arg);
+      const auto p = measure_sim_scale(c.shards, c.replicas_per_shard, clients, warmup, measure,
+                                       1, t_arg, c.announce);
+      if (c.shards == 1 && c.replicas_per_shard == 100) {
+        (c.announce ? group100_on : group100_off) = p.green_per_second;
+      }
       const std::uint64_t lookups = p.reachable_cache_hits + p.reachable_cache_misses;
       if (t == threads.front()) {
         wall_1t = p.wall_ms;
@@ -120,8 +133,8 @@ int main(int argc, char** argv) {
         speedup_at_16 = std::max(speedup_at_16, speedup);
       }
       char label[32];
-      std::snprintf(label, sizeof(label), "%dx%d (%d)", c.shards, c.replicas_per_shard,
-                    total_replicas);
+      std::snprintf(label, sizeof(label), "%dx%d (%d)%s", c.shards, c.replicas_per_shard,
+                    total_replicas, c.announce ? "" : " off");
       std::printf("%14s | %3d | %8.0f | %9llu | %10.0f | %7.0fms | %10.1f | %6zu | %7.2f | "
                   "%5.0f%% | %6.2fx\n",
                   label, p.sim_threads, p.green_per_second,
@@ -138,6 +151,7 @@ int main(int argc, char** argv) {
       json.field("total_replicas", p.total_replicas);
       json.field("clients", p.clients);
       json.field("threads", p.sim_threads);
+      json.field("announce", c.announce);
       json.field("wall_ms", p.wall_ms);
       json.field("events", p.events);
       json.field("events_per_sec", p.events_per_wall_second);
@@ -160,6 +174,15 @@ int main(int argc, char** argv) {
   json.write("BENCH_simscale.json");
 
   if (!identical) return 1;
+  // Simulated time, so exact on every host: announcements may cost the
+  // 100-replica group at most 5% of its throughput without them.
+  std::printf("1x100 green/s: announcements on %.1f, off %.1f (%.1f%%)\n", group100_on,
+              group100_off, group100_off > 0 ? 100.0 * group100_on / group100_off : 0.0);
+  if (group100_on < 0.95 * group100_off) {
+    std::fprintf(stderr, "FAIL: announcements cost the 1x100 group more than 5%% of its "
+                         "throughput\n");
+    return 1;
+  }
   // The scaling criterion needs hardware to scale onto: enforce it only
   // when the host can give every pool thread a core. Smaller hosts (1-core
   // CI containers) still verify determinism above; there the parallel rows

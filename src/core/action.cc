@@ -33,9 +33,9 @@ Action Action::decode(BufReader& r) {
 }
 
 std::size_t Action::wire_size() const {
-  BufWriter w;
-  encode(w);
-  return w.data().size();
+  // encode()'s fixed-width layout, summed without building the bytes
+  // (ActionLog sizes every stored and trimmed body).
+  return 1 + 12 + 8 + 8 + 1 + query.wire_size() + update.wire_size() + 4 + 4 + padding;
 }
 
 std::string to_string(ActionType t) {

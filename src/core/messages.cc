@@ -180,14 +180,14 @@ Bytes encode_catchup(const SnapshotMessage& s) {
 Bytes encode_announce(const AnnounceMessage& m) {
   return with_type(static_cast<std::uint8_t>(EngineMsgType::kAnnounce), [&](BufWriter& w) {
     w.i32(m.server_id);
-    encode_pairs(w, m.known);
+    w.i64(m.green_line);
   });
 }
 
 AnnounceMessage decode_announce(BufReader& r) {
   AnnounceMessage m;
   m.server_id = r.i32();
-  m.known = decode_pairs(r);
+  m.green_line = r.i64();
   return m;
 }
 

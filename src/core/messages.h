@@ -101,22 +101,21 @@ enum class EngineMsgType : std::uint8_t {
   kActionBatch = 7,   ///< several client actions in one multicast; members
                       ///  process them in batch order (used when buffered
                       ///  requests flush together)
-  kAnnounce = 8,      ///< green-line / knowledge announcement (DESIGN.md §14):
-                      ///  a replica's knowledge vector, multicast so white
+  kAnnounce = 8,      ///< green-line announcement (DESIGN.md §14): a
+                      ///  replica's own green line, multicast so white
                       ///  trimming advances even at replicas that never
                       ///  originate actions
 };
 
-/// Green-line announcement (DESIGN.md §14). Carries the sender's full
-/// knowledge vector — its own green line plus every green line it has
-/// learned — so knowledge propagates transitively: one multicast teaches
-/// the whole component everything the sender knows. Announced lines are
-/// lower-bound claims ("I have marked at least this prefix green"); merging
-/// them is a per-entry max, which makes duplicated or reordered
-/// announcements harmless.
+/// Green-line announcement (DESIGN.md §14). Carries only the sender's own
+/// green line — its row of the knowledge table, as an originated action
+/// does — never lines it learned from others: the exchange re-seeds every
+/// member's line at install, so relaying them adds nothing. The line is a
+/// lower-bound claim ("I have marked at least this prefix green"); merging
+/// is a max, which makes duplicated or reordered announcements harmless.
 struct AnnounceMessage {
   NodeId server_id = kNoNode;
-  std::vector<std::pair<NodeId, std::int64_t>> known;  ///< server -> green line
+  std::int64_t green_line = 0;
 
   friend bool operator==(const AnnounceMessage&, const AnnounceMessage&) = default;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "util/log.h"
 
@@ -72,7 +73,7 @@ ReplicationEngine::ReplicationEngine(Network& net, StableStorage& storage, NodeI
   adopt_snapshot(snapshot, /*set_prim=*/true);
   // §5.2 line 28: the joiner's green line is the position of its
   // PERSISTENT_JOIN action, inherited with the snapshot.
-  green_lines_[id_] = log_.green_count();
+  green_lines_.set(id_, log_.green_count());
   // Persist the inherited state so a crash after joining recovers it.
   DbSnapshotRecord rec;
   rec.db_snapshot = snapshot.db_snapshot;
@@ -140,9 +141,10 @@ void ReplicationEngine::trace_engine_start(std::int64_t mode) {
 void ReplicationEngine::init_members(const std::vector<NodeId>& servers) {
   server_set_ = servers;
   std::sort(server_set_.begin(), server_set_.end());
+  green_lines_.invalidate();
   for (NodeId s : server_set_) {
     log_.ensure_creator(s);
-    green_lines_[s] = 0;
+    green_lines_.set(s, 0);
   }
   // The founding configuration is the first "primary component": dynamic
   // linear voting starts from a majority of the full initial set.
@@ -186,7 +188,7 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         vulnerable_ = s.meta.vulnerable;
         yellow_ = s.meta.yellow;
         green_lines_.clear();
-        for (const auto& [n, g] : s.meta.green_lines) green_lines_[n] = g;
+        for (const auto& [n, g] : s.meta.green_lines) green_lines_.set(n, g);
         gc_counter = std::max(gc_counter, s.meta.gc_counter);
         ongoing_candidates.clear();
         for (const Action& a : s.red_actions) log_.mark_red(a);
@@ -196,14 +198,12 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
       case LogRecordType::kMeta: {
         MetaRecord m = decode_meta(r);
         server_set_ = m.server_set;
+        green_lines_.invalidate();
         prim_ = m.prim;
         attempt_index_ = m.attempt_index;
         vulnerable_ = m.vulnerable;
         yellow_ = m.yellow;
-        for (const auto& [n, g] : m.green_lines) {
-          std::int64_t& v = green_lines_[n];
-          v = std::max(v, g);
-        }
+        for (const auto& [n, g] : m.green_lines) green_lines_.raise(n, g);
         gc_counter = std::max(gc_counter, m.gc_counter);
         break;
       }
@@ -216,7 +216,8 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
         } else if (a.type == ActionType::kPersistentJoin) {
           if (!contains(server_set_, a.subject)) {
             insert_sorted(server_set_, a.subject);
-            green_lines_[a.subject] = log_.green_count();
+            green_lines_.invalidate();
+            green_lines_.set(a.subject, log_.green_count());
           }
         } else if (a.type == ActionType::kPersistentLeave) {
           erase_value(server_set_, a.subject);
@@ -248,7 +249,7 @@ void ReplicationEngine::recover_from_log(const std::vector<NodeId>& fallback_ser
     if (log_.red_cut(id_) < a.id.index) mark_red(a);
   }
   action_index_ = std::max({action_index_, log_.red_cut(id_), log_.green_red_cut(id_)});
-  green_lines_[id_] = log_.green_count();
+  green_lines_.set(id_, log_.green_count());
   set_state(EngineState::kNonPrim);
   append_meta();
   storage_.sync([] {});
@@ -272,10 +273,8 @@ void ReplicationEngine::adopt_snapshot(const SnapshotMessage& s, bool set_prim) 
     on_newly_red(*r);
   }
   server_set_ = s.server_set;
-  for (const auto& [n, g] : s.green_lines) {
-    std::int64_t& v = green_lines_[n];
-    v = std::max(v, g);
-  }
+  green_lines_.invalidate();
+  for (const auto& [n, g] : s.green_lines) green_lines_.raise(n, g);
   if (set_prim) prim_ = s.prim;
   // Own in-flight actions the snapshot already ordered are settled, in
   // ActionId order (sorted packed keys) so reply ordering stays
@@ -311,8 +310,10 @@ Action ReplicationEngine::make_action(ActionType type, db::Command query, db::Co
   a.id = ActionId{id_, ++action_index_};
   a.green_line = log_.green_count();
   // The action piggybacks our green line to the whole component, so a
-  // pending announcement token for the same (or an older) line is moot.
+  // pending announcement token for the same (or an older) line is moot,
+  // and so is one for a newer line while we keep originating.
   last_announced_green_ = std::max(last_announced_green_, a.green_line);
+  last_piggyback_ = sim_.now();
   a.client = client;
   a.semantics = semantics;
   a.query = std::move(query);
@@ -630,8 +631,7 @@ void ReplicationEngine::handle_action(Action&& a) {
       const NodeId creator = a.id.server_id;
       const std::int64_t line = a.green_line;
       mark_green(std::move(a));
-      std::int64_t& v = green_lines_[creator];
-      v = std::max(v, line);
+      green_lines_.raise(creator, line);
       trim_white();
       break;
     }
@@ -840,7 +840,7 @@ void ReplicationEngine::handle_catchup(const SnapshotMessage& s) {
     log_.for_each_pending_red([&](const Action& a2) { rec.red_actions.push_back(a2); });
     rec.ongoing_actions = sorted_ongoing();
     storage_.append(encode_log_db_snapshot(rec));
-    green_lines_[id_] = log_.green_count();
+    green_lines_.set(id_, log_.green_count());
     maybe_arm_announce();
   }
   maybe_end_of_retrans();
@@ -854,10 +854,7 @@ void ReplicationEngine::maybe_end_of_retrans() {
 
 void ReplicationEngine::end_of_retrans() {
   // A.5 End_of_retrans: incorporate green lines, compute knowledge, decide.
-  for (const auto& [m, s] : state_msgs_) {
-    std::int64_t& g = green_lines_[m];
-    g = std::max(g, s.green_count);
-  }
+  for (const auto& [m, s] : state_msgs_) green_lines_.raise(m, s.green_count);
   compute_knowledge();
   trim_white();
 
@@ -1027,13 +1024,9 @@ void ReplicationEngine::check_construct_complete() {
     if (!cpc_received_.count(m)) return;
   }
   // A.9: everyone reached the same state during the exchange, so after
-  // install all members share this server's green line. (Copy the own line
-  // out first: inserting other members may reallocate the flat entries.)
-  const std::int64_t own_line = green_lines_[id_];
-  for (NodeId m : conf_.members) {
-    std::int64_t& v = green_lines_[m];
-    v = std::max(v, own_line);
-  }
+  // install all members share this server's green line.
+  const std::int64_t own_line = green_lines_.get(id_);
+  for (NodeId m : conf_.members) green_lines_.raise(m, own_line);
   install();
   set_state(EngineState::kRegPrim);
   handle_buffered_requests();
@@ -1092,7 +1085,7 @@ void ReplicationEngine::install() {
                    static_cast<std::int64_t>(m));
     }
   }
-  green_lines_[id_] = log_.green_count();
+  green_lines_.set(id_, log_.green_count());
   maybe_arm_announce();
   append_meta();
   storage_.sync([] {});
@@ -1155,7 +1148,7 @@ void ReplicationEngine::mark_green(const Action& a) {
   const ActionLog::GreenResult res = log_.mark_green(a);
   for (const Action* r : res.newly_red) on_newly_red(*r);
   if (res.position == 0) return;  // duplicate: already green
-  green_lines_[id_] = log_.green_count();
+  green_lines_.set(id_, log_.green_count());
   maybe_arm_announce();
   append_log_green(res.position, encoded_body(a));
   ++stats_.actions_green;
@@ -1180,7 +1173,7 @@ void ReplicationEngine::mark_green(Action&& a) {
   // A newly-green action always has its body in the log store; the result
   // carries the stored pointer, versus the deep copy the lvalue path pays.
   const Action& g = res.body != nullptr ? *res.body : *log_.body_of(aid);
-  green_lines_[id_] = log_.green_count();
+  green_lines_.set(id_, log_.green_count());
   maybe_arm_announce();
   append_log_green(res.position, encoded_body(g));
   ++stats_.actions_green;
@@ -1293,8 +1286,9 @@ void ReplicationEngine::on_join_green(const Action& a) {
   const NodeId j = a.subject;
   if (!contains(server_set_, j)) {
     insert_sorted(server_set_, j);
+    green_lines_.invalidate();
     // 5.1 line 7: the joiner's green line is the join action's position.
-    green_lines_[j] = log_.green_count();
+    green_lines_.set(j, log_.green_count());
     if (tracer_) tracer_.emit(obs::EventKind::kMemberAdd, static_cast<std::int64_t>(j));
     if (callbacks_.on_join_green) callbacks_.on_join_green(j);
     if (a.id.server_id == id_ || pending_join_transfers_.count(j)) {
@@ -1376,13 +1370,29 @@ db::Database ReplicationEngine::dirty_database() const {
   return dirty;
 }
 
-std::int64_t ReplicationEngine::white_line() const {
-  std::int64_t line = log_.green_count();
-  for (NodeId s : server_set_) {
-    const std::int64_t* g = green_lines_.find(s);
-    line = std::min(line, g == nullptr ? 0 : *g);
+std::int64_t GreenLines::min_over(const std::vector<NodeId>& members) const {
+  if (!dirty_) return min_;
+  // Both sides are sorted by node id: one merge pass, no per-member search.
+  // (Round-robin traffic advances the holder on almost every action.)
+  assert(std::is_sorted(members.begin(), members.end()));
+  min_ = std::numeric_limits<std::int64_t>::max();
+  holder_ = kNoNode;
+  const auto& lines = lines_.entries();
+  auto it = lines.begin();
+  for (NodeId m : members) {
+    while (it != lines.end() && it->first < m) ++it;
+    const std::int64_t g = it != lines.end() && it->first == m ? it->second : 0;
+    if (g < min_) {
+      min_ = g;
+      holder_ = m;
+    }
   }
-  return line;
+  dirty_ = false;
+  return min_;
+}
+
+std::int64_t ReplicationEngine::white_line() const {
+  return std::min(log_.green_count(), green_lines_.min_over(server_set_));
 }
 
 ActionId ReplicationEngine::green_action_at(std::int64_t position) const {
@@ -1405,8 +1415,9 @@ void ReplicationEngine::trim_white() {
 
 void ReplicationEngine::maybe_arm_announce() {
   // Lazy one-shot token: arm only when there is something new to say, and
-  // let piggybacking (make_action advancing last_announced_green_) win the
-  // race. A recurring timer would never let run-until-idle sims quiesce.
+  // let piggybacking (make_action advancing last_announced_green_ and
+  // stamping last_piggyback_) win the race. A recurring timer would never
+  // let run-until-idle sims quiesce.
   if (params_.announce_interval <= 0 || announce_armed_) return;
   if (log_.green_count() <= last_announced_green_) return;
   announce_armed_ = true;
@@ -1419,11 +1430,16 @@ void ReplicationEngine::maybe_arm_announce() {
 
 void ReplicationEngine::fire_announce() {
   if (state_ == EngineState::kLeft) return;
-  if (log_.green_count() <= last_announced_green_) {
-    // An originated action carried our line since arming; stay quiet. The
-    // next mark_green past the announced line re-arms.
+  const bool told = log_.green_count() <= last_announced_green_;
+  if (told || last_piggyback_ > sim_.now() - params_.announce_interval) {
+    // Either an originated action carried our line since arming, or we are
+    // still originating: the next action carries the newer line at least
+    // as soon as a token would. Stay quiet. A told line re-arms at the next
+    // mark_green past it; an untold one re-arms now, so a replica that
+    // stops originating announces once it has been quiet an interval.
     ++stats_.announces_suppressed;
     if (metric_announce_supp_ != nullptr) metric_announce_supp_->inc();
+    if (!told) maybe_arm_announce();
     return;
   }
   if (state_ != EngineState::kRegPrim && state_ != EngineState::kNonPrim) {
@@ -1436,16 +1452,15 @@ void ReplicationEngine::fire_announce() {
 }
 
 void ReplicationEngine::send_announce() {
+  // Own row only (the shared-state-table rule): the exchange re-seeds every
+  // member's line at install, so lines learned from others need no relay.
   AnnounceMessage m;
   m.server_id = id_;
-  m.known = green_lines_.entries();
-  last_announced_green_ = log_.green_count();
+  m.green_line = log_.green_count();
+  last_announced_green_ = m.green_line;
   ++stats_.announces_sent;
   if (metric_announce_sent_ != nullptr) metric_announce_sent_->inc();
-  if (tracer_) {
-    tracer_.emit(obs::EventKind::kAnnounceSend, last_announced_green_,
-                 static_cast<std::int64_t>(m.known.size()));
-  }
+  if (tracer_) tracer_.emit(obs::EventKind::kAnnounceSend, m.green_line);
   gc_->multicast(encode_announce(m), gc::Service::kAgreed);
 }
 
@@ -1453,32 +1468,19 @@ void ReplicationEngine::handle_announce(const AnnounceMessage& m) {
   ++stats_.announces_received;
   if (metric_announce_recv_ != nullptr) metric_announce_recv_->inc();
   if (tracer_) {
-    const std::int64_t* own = nullptr;
-    for (const auto& [n, g] : m.known) {
-      if (n == m.server_id) own = &g;
-    }
     tracer_.emit(obs::EventKind::kAnnounceRecv, static_cast<std::int64_t>(m.server_id),
-                 own != nullptr ? *own : 0);
+                 m.green_line);
   }
-  // Announced lines are lower-bound claims, so merging is a per-entry max.
-  // Entries for servers outside our current server set are dropped: a stale
-  // announcement must not resurrect a departed member's green line (which
-  // on_leave erased) and pin the white line forever.
-  bool advanced = false;
-  for (const auto& [n, g] : m.known) {
-    if (!contains(server_set_, n)) continue;
-    std::int64_t& v = green_lines_[n];
-    if (g > v) {
-      v = g;
-      advanced = true;
-    }
-  }
+  // An announced line is a lower-bound claim, so merging is a max. A sender
+  // outside our current server set is ignored: a stale announcement must
+  // not resurrect a departed member's green line (which on_leave erased)
+  // and pin the white line forever.
+  if (!contains(server_set_, m.server_id)) return;
+  if (m.green_line <= green_lines_.get(m.server_id)) return;
+  green_lines_.raise(m.server_id, m.green_line);
   // Trim only in settled states: mid-exchange the retransmission plan
   // assumes the bodies it promised to resend are still in the log.
-  if (advanced &&
-      (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim)) {
-    trim_white();
-  }
+  if (state_ == EngineState::kRegPrim || state_ == EngineState::kNonPrim) trim_white();
 }
 
 MetaRecord ReplicationEngine::current_meta() const {

@@ -39,6 +39,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -92,14 +93,15 @@ struct EngineParams {
   std::map<NodeId, int> weights;       ///< voting weights
   QuorumMode quorum_mode = QuorumMode::kDynamicLinearVoting;
   std::uint32_t action_padding = 110;  ///< pads actions to ~200 wire bytes
-  std::int64_t compact_every_greens = 8000;  ///< log compaction cadence (0 = off)
+  std::int64_t compact_every_greens = 1000;  ///< log compaction cadence (0 = off)
   bool white_trim = true;  ///< discard white action bodies (paper Figure 1)
   /// Green-line announcement cadence (DESIGN.md §14; 0 = off). A replica
   /// whose green line advanced beyond what it last told the group arms a
   /// one-shot virtual-time timer; when it fires, the replica multicasts its
-  /// knowledge vector — unless its own traffic already piggybacked the line
-  /// in the meantime, which suppresses the token. This is what lets white
-  /// trimming advance at replicas that never originate actions.
+  /// own green line — unless an action it originated carried the line
+  /// within the last interval, which suppresses the token until the
+  /// replica goes quiet. This is what lets white trimming advance at
+  /// replicas that never originate actions.
   SimDuration announce_interval = millis(250);
   /// Batch multi-action persist+multicast: one StableStorage append+sync
   /// and one group multicast per batch of buffered client actions instead
@@ -143,6 +145,55 @@ struct EngineCallbacks {
   std::function<void()> on_left;         ///< our own leave became green
   std::function<void(NodeId)> on_join_green;
   std::function<void(NodeId)> on_leave_green;
+};
+
+/// The engine's greenLines[] (Appendix A): per server, the green count it
+/// is known to have reached (0 when unknown). Memoizes the minimum over the
+/// server set, which bounds the white line (DESIGN.md §14), the way gc's
+/// safe_line_cache_ does for stability: a rising line can move the minimum
+/// only if it held it, so the O(n) rescan runs when the holder advances
+/// rather than on every green action. Lowering, erasing or clearing a line,
+/// or changing the member set (invalidate()), forces a rescan.
+class GreenLines {
+ public:
+  std::int64_t get(NodeId n) const {
+    const std::int64_t* g = lines_.find(n);
+    return g == nullptr ? 0 : *g;
+  }
+  /// Set `n`'s line (creating the entry).
+  void set(NodeId n, std::int64_t g) {
+    std::int64_t& v = lines_[n];
+    if (g < v || n == holder_) dirty_ = true;
+    v = g;
+  }
+  /// Max-merge a lower-bound claim (creating the entry).
+  void raise(NodeId n, std::int64_t g) {
+    std::int64_t& v = lines_[n];
+    if (g <= v) return;
+    if (n == holder_) dirty_ = true;
+    v = g;
+  }
+  void erase(NodeId n) {
+    lines_.erase(n);
+    dirty_ = true;
+  }
+  void clear() {
+    lines_.clear();
+    dirty_ = true;
+  }
+  /// The member set changed: the next min_over() rescans.
+  void invalidate() { dirty_ = true; }
+  /// Entries in server order (the wire and log encodings).
+  const std::vector<std::pair<NodeId, std::int64_t>>& entries() const { return lines_.entries(); }
+  /// Minimum line over `members`, which must be the set current since the
+  /// last invalidate().
+  std::int64_t min_over(const std::vector<NodeId>& members) const;
+
+ private:
+  util::VecMap<NodeId, std::int64_t> lines_;
+  mutable std::int64_t min_ = 0;
+  mutable NodeId holder_ = kNoNode;  ///< a member whose line is min_
+  mutable bool dirty_ = true;
 };
 
 class ReplicationEngine {
@@ -246,8 +297,10 @@ class ReplicationEngine {
   /// what the group was last told and no timer is pending. Lazy arming (no
   /// unconditional rescheduling) keeps run-until-idle simulations finite.
   void maybe_arm_announce();
-  /// Timer body: suppress if own traffic piggybacked the line since arming,
-  /// defer (re-arm) mid-exchange, otherwise multicast the knowledge vector.
+  /// Timer body: stay quiet if the line was already told or an own action
+  /// carried it within the last interval (re-arming, so a replica that goes
+  /// silent still announces), defer mid-exchange, otherwise multicast the
+  /// own green line.
   void fire_announce();
   void send_announce();
 
@@ -338,12 +391,14 @@ class ReplicationEngine {
   ActionId enc_body_id_;  ///< id cached in enc_body_ (kNoNode: none)
   Bytes enc_body_;
   /// A: greenLines (as counts). Group-sized; the sorted vector keeps
-  /// map_to_pairs-style wire encodings in creator order for free.
-  util::VecMap<NodeId, std::int64_t> green_lines_;
+  /// map_to_pairs-style wire encodings in creator order for free. Every
+  /// change to server_set_ must call green_lines_.invalidate().
+  GreenLines green_lines_;
   /// Announcement state (DESIGN.md §14): the green line the group was last
-  /// told (via a piggybacking own action or an announcement token), and
-  /// whether the one-shot timer is pending.
+  /// told (via a piggybacking own action or an announcement token), when an
+  /// own action last carried it, and whether the one-shot timer is pending.
   std::int64_t last_announced_green_ = 0;
+  SimTime last_piggyback_ = std::numeric_limits<SimTime>::min();
   bool announce_armed_ = false;
   /// A: ongoingQueue, keyed by pack_action_id. Values are the canonical
   /// encoded action bodies: the hot path only ever inserts and erases

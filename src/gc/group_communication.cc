@@ -36,6 +36,7 @@ GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listene
   config_.id = ConfigId{initial_config_counter, id_};
   config_.members = {id_};
   known_contig_.emplace_back(id_, 0);
+  rebuild_known_index();
 
   // The shared handler hands over the refcounted wire buffer, letting the
   // delivery buffer retain ORDERED payloads without a per-member deep copy.
@@ -197,10 +198,20 @@ void GroupCommunication::store_buffered(std::int64_t seq, BufferedMsg&& m) {
 }
 
 std::int64_t* GroupCommunication::known_slot(NodeId m) {
-  auto it = std::lower_bound(
-      known_contig_.begin(), known_contig_.end(), m,
-      [](const std::pair<NodeId, std::int64_t>& p, NodeId n) { return p.first < n; });
-  return (it != known_contig_.end() && it->first == m) ? &it->second : nullptr;
+  const auto i = static_cast<std::size_t>(m - known_base_);  // wraps below the base
+  if (i >= known_index_.size() || known_index_[i] < 0) return nullptr;
+  return &known_contig_[static_cast<std::size_t>(known_index_[i])].second;
+}
+
+void GroupCommunication::rebuild_known_index() {
+  known_index_.clear();
+  if (known_contig_.empty()) return;
+  known_base_ = known_contig_.front().first;
+  known_index_.resize(static_cast<std::size_t>(known_contig_.back().first - known_base_) + 1, -1);
+  for (std::size_t k = 0; k < known_contig_.size(); ++k) {
+    known_index_[static_cast<std::size_t>(known_contig_[k].first - known_base_)] =
+        static_cast<std::int32_t>(k);
+  }
 }
 
 std::int64_t GroupCommunication::safe_line() const {
@@ -304,6 +315,7 @@ void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
     known_contig_.insert(std::upper_bound(known_contig_.begin(), known_contig_.end(),
                                           std::pair<NodeId, std::int64_t>{from, 0}),
                          {from, 0});
+    rebuild_known_index();
     slot = known_slot(from);
   }
   std::int64_t& known = *slot;
@@ -634,6 +646,7 @@ void GroupCommunication::run_install() {
   known_contig_.clear();
   known_contig_.reserve(config_.members.size());
   for (NodeId m : config_.members) known_contig_.emplace_back(m, 0);
+  rebuild_known_index();
   safe_line_dirty_ = true;
   last_acked_value_ = -1;
   // Pacing timers armed in the old configuration will no-op on config

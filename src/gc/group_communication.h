@@ -196,6 +196,13 @@ class GroupCommunication {
   /// hottest paths in the layer.
   std::vector<std::pair<NodeId, std::int64_t>> known_contig_;
   std::int64_t* known_slot(NodeId m);  ///< value for m, or nullptr
+  /// Dense member index: known_index_[m - known_base_] is m's position in
+  /// known_contig_ (-1: not a member). Member ids of one group are a narrow
+  /// range, so an O(1) probe replaces the binary search on every ack.
+  /// Rebuilt whenever known_contig_ changes shape (install, insert).
+  std::vector<std::int32_t> known_index_;
+  NodeId known_base_ = 0;
+  void rebuild_known_index();
   /// Memoized safe_line(). Contig knowledge only advances within a
   /// configuration, so the min over members is stable unless the member
   /// holding it advances; try_deliver() runs on every ACK, which made the

@@ -85,7 +85,7 @@ enum class EventKind : std::uint8_t {
   kTxnDecide,            ///< a=txn fingerprint, b=commit (1/0), c=prepare->decide ns
   kTxnSnapshotRead,      ///< a=involved shard count, b=drain wait ns
   // Green-line announcements (DESIGN.md §14).
-  kAnnounceSend,         ///< a=announced own green line, b=knowledge-vector size
+  kAnnounceSend,         ///< a=announced own green line
   kAnnounceRecv,         ///< a=sender node, b=sender's announced own green line
 };
 

@@ -336,7 +336,7 @@ void Network::deliver(NodeId from, NodeId to, std::uint64_t to_epoch, Channel ch
     if (handler) handler(from, *p);
   };
   static_assert(sizeof(ev) <= SmallFn::kInlineSize, "delivery event must stay inline");
-  sim_.at(dst.busy_until, std::move(ev));
+  sim_.at(dst.rx, dst.busy_until, std::move(ev));
 }
 
 void Network::set_components(const std::vector<std::vector<NodeId>>& components) {

@@ -210,6 +210,7 @@ class Network {
     int lane = 0;   ///< simulator event lane (lane mode only)
     std::uint64_t epoch = 0;  ///< bumped on crash; stale deliveries dropped
     SimTime busy_until = 0;
+    Simulator::Stream rx;  ///< CPU receipts: scheduled at busy_until, so FIFO
     bool notify_pending = false;
     PacketHandler on_packet[kNumChannels];
     SharedPacketHandler on_packet_shared[kNumChannels];

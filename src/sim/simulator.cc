@@ -114,18 +114,53 @@ void Simulator::enable_lanes(int lanes, int threads, SimDuration handoff_latency
 void Simulator::schedule(Lane& l, SimTime t, SmallFn fn,
                          std::shared_ptr<Cancelable::State> cancel) {
   if (t < l.now) t = l.now;
-  // Opportunistically drop dead weight before growing the heap: once cancelled
-  // entries make up more than half the queue (and there are enough of them to
-  // amortize the scan), compact in one pass.
-  if (*l.cancel_tally > kMinDeadForPurge && *l.cancel_tally * 2 > l.heap.size()) purge(l);
+  push(l, claim(l, t, std::move(fn), std::move(cancel)));
+}
+
+Simulator::Entry Simulator::claim(Lane& l, SimTime t, SmallFn fn,
+                                  std::shared_ptr<Cancelable::State> cancel) {
+  // Opportunistically drop dead weight before growing the queue: once
+  // cancelled entries make up more than half of it (and there are enough of
+  // them to amortize the scan), compact in one pass.
+  if (*l.cancel_tally > kMinDeadForPurge && *l.cancel_tally * 2 > l.depth()) purge(l);
   const std::uint32_t slot = acquire_slot(l);
   if (slot >> kSlotBits) throw std::length_error("simulator: too many pending events");
   Slot& s = l.slots[slot];
   s.fn = std::move(fn);
   s.cancel = std::move(cancel);
-  l.heap.push_back(Entry{t, (l.next_seq++ << kSlotBits) | slot});
+  return Entry{t, (l.next_seq++ << kSlotBits) | slot};
+}
+
+void Simulator::push(Lane& l, Entry e) {
+  l.heap.push_back(e);
   sift_up(l, l.heap.size() - 1);
-  if (l.heap.size() > l.peak_depth) l.peak_depth = l.heap.size();
+  if (l.depth() > l.peak_depth) l.peak_depth = l.depth();
+}
+
+void Simulator::at(Stream& stream, SimTime t, SmallFn fn) {
+  Lane& l = current_mutable_lane();
+  const int lane = static_cast<int>(&l - lanes_.data());
+  if (t < l.now) t = l.now;
+  const Entry e = claim(l, t, std::move(fn), nullptr);
+  l.slots[e.slot()].key = e.key;
+  // The tail is still queued iff its slot still carries the tail's key
+  // (release_slot clears it; a reused slot carries a newer seq).
+  Slot* tail = nullptr;
+  if (stream.lane == lane && stream.tail_time <= t) {
+    Slot& ts = l.slots[Entry{stream.tail_time, stream.tail_key}.slot()];
+    if (ts.key == stream.tail_key) tail = &ts;
+  }
+  if (tail != nullptr) {
+    tail->succ_key = e.key;
+    tail->succ_time = t;
+    ++l.streamed;
+    if (l.depth() > l.peak_depth) l.peak_depth = l.depth();
+  } else {
+    push(l, e);  // stream idle, or an earlier time (after a crash reset)
+  }
+  stream.tail_key = e.key;
+  stream.tail_time = t;
+  stream.lane = lane;
 }
 
 Cancelable Simulator::after_cancelable(SimDuration delay, SmallFn fn) {
@@ -150,6 +185,8 @@ void Simulator::release_slot(Lane& l, std::uint32_t slot) {
   Slot& s = l.slots[slot];
   s.fn = SmallFn{};
   s.cancel.reset();
+  s.key = kNoKey;
+  s.succ_key = kNoKey;
   l.free_slots.push_back(slot);
 }
 
@@ -224,6 +261,12 @@ bool Simulator::pop_and_run(Lane& l) {
   assert(top.time >= l.now);
 
   Slot& s = l.slots[top.slot()];
+  // A stream event hands the stream's next event to the heap (stream
+  // events are never cancelable, so this precedes the cancel check).
+  if (s.succ_key != kNoKey) {
+    --l.streamed;
+    push(l, Entry{s.succ_time, s.succ_key});
+  }
   // A cancelled event still advances the clock to its scheduled time (it held
   // its place in the time order), but never executes.
   if (s.cancel && !s.cancel->alive) {
@@ -239,6 +282,13 @@ bool Simulator::pop_and_run(Lane& l) {
   // scheduled from inside the callback can reuse it.
   SmallFn fn = std::move(s.fn);
   release_slot(l, top.slot());
+  // The slot pool outgrows the caches at 100 replicas; start fetching the
+  // next event's slot while this one runs (it is usually still the top).
+  if (!l.heap.empty()) {
+    const char* next_slot = reinterpret_cast<const char*>(&l.slots[l.heap[0].slot()]);
+    __builtin_prefetch(next_slot);
+    __builtin_prefetch(next_slot + sizeof(Slot) - 1);
+  }
   l.now = top.time;
   if (lane_mode_) {
     // Fold the executed schedule so equivalence suites can compare runs
@@ -497,7 +547,7 @@ std::size_t Simulator::executed_events() const {
 
 std::size_t Simulator::queue_depth() const {
   std::size_t n = 0;
-  for (const Lane& l : lanes_) n += l.heap.size();
+  for (const Lane& l : lanes_) n += l.depth();
   return n;
 }
 

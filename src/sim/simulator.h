@@ -19,6 +19,13 @@
 //    outnumber half the queue the heap is purged in one pass, so dead
 //    timers cannot accumulate. Live ordering is exact (time, seq) FIFO
 //    either way.
+//  - FIFO streams (DESIGN.md §10): a caller whose events never go back in
+//    time (a node's serialized CPU receipts) schedules them on a `Stream`.
+//    Only the stream's head sits in the heap; the rest wait in an intrusive
+//    list threaded through their slots and enter the heap one at a time as
+//    their predecessor pops. Each event keeps the (time, seq) key at() would
+//    have given it, so the execution order is unchanged — only the heap
+//    shrinks from every queued receipt to one entry per busy node.
 //
 // Event lanes (DESIGN.md §15): enable_lanes() partitions the simulator into
 // independent event lanes — one heap, clock, RNG and slot pool per lane —
@@ -85,7 +92,7 @@ class SmallFn {
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT: implicit by design — call sites pass lambdas
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
+    if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(void*) &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = &OpsImpl<D, true>::ops;
@@ -160,7 +167,9 @@ class SmallFn {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
+  // Pointer alignment (closures capture pointers and integers) keeps the
+  // wrapper at 56 bytes, so a simulator slot stays at 96.
+  alignas(void*) unsigned char storage_[kInlineSize];
 };
 
 /// Token for a scheduled event that may be cancelled before it fires.
@@ -192,6 +201,19 @@ class Cancelable {
 
 class Simulator {
  public:
+  /// A FIFO event stream (see the header comment): caller-owned, a few
+  /// words, allocates nothing. Events scheduled on one stream must use
+  /// nondecreasing times to stay out of the heap; an earlier one is still
+  /// scheduled correctly, just as a plain heap event. A stream follows the
+  /// lane it is used from (one lane at a time, like the node that owns it).
+  class Stream {
+   private:
+    friend class Simulator;
+    std::uint64_t tail_key = 0;  ///< heap key of the last event scheduled on it
+    SimTime tail_time = 0;       ///< and its time
+    int lane = -1;               ///< lane of that event; -1 = never used
+  };
+
   explicit Simulator(std::uint64_t seed = 1);
   ~Simulator();
 
@@ -213,6 +235,10 @@ class Simulator {
 
   /// Schedule `fn` on the current lane at absolute time `t` (clamped to now).
   void at(SimTime t, SmallFn fn) { schedule(current_mutable_lane(), t, std::move(fn), nullptr); }
+
+  /// Schedule `fn` on the current lane at time `t` (clamped to now) as the
+  /// next event of `stream`. Same (time, seq) order as at(t, fn).
+  void at(Stream& stream, SimTime t, SmallFn fn);
 
   /// Schedule `fn` on the current lane after `delay`.
   void after(SimDuration delay, SmallFn fn) {
@@ -239,7 +265,8 @@ class Simulator {
   /// Aggregates over all lanes (identical to the classic counters when
   /// lanes are off).
   std::size_t executed_events() const;
-  /// Events currently pending (cancelled-but-unpurged included).
+  /// Events currently pending (cancelled-but-unpurged and stream-queued
+  /// included).
   std::size_t queue_depth() const;
   /// Sum of each lane's high-water queue depth over the whole run.
   std::size_t peak_queue_depth() const;
@@ -303,7 +330,7 @@ class Simulator {
 
   // --- per-lane introspection ------------------------------------------------
   std::size_t lane_executed(int lane) const { return lanes_.at(static_cast<std::size_t>(lane)).executed; }
-  std::size_t lane_queue_depth(int lane) const { return lanes_.at(static_cast<std::size_t>(lane)).heap.size(); }
+  std::size_t lane_queue_depth(int lane) const { return lanes_.at(static_cast<std::size_t>(lane)).depth(); }
   SimTime lane_now(int lane) const { return lanes_.at(static_cast<std::size_t>(lane)).now; }
   /// Running fold of the lane's executed schedule — every live event's
   /// (time, sequence) mixed in execution order. Maintained only in lane
@@ -331,6 +358,9 @@ class Simulator {
   /// total schedules are both orders of magnitude beyond any simulation
   /// here (schedule() checks the slot bound).
   static constexpr unsigned kSlotBits = 20;
+  /// "No key" in the stream fields of Slot: its seq bits (all ones) never
+  /// match a real schedule sequence.
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
   /// Heap entry: 16-byte trivially copyable key; the closure stays in its
   /// slot. `key` packs (seq << kSlotBits) | slot — seqs are unique per
@@ -344,7 +374,17 @@ class Simulator {
   struct Slot {
     SmallFn fn;
     std::shared_ptr<Cancelable::State> cancel;  ///< null for plain events
+    /// Stream linkage, set while a stream event is queued (kNoKey
+    /// otherwise): its own heap key, which tells a stream whether its tail
+    /// is still queued, and its successor's heap entry, so promoting the
+    /// successor never touches the successor's slot.
+    std::uint64_t key = kNoKey;
+    std::uint64_t succ_key = kNoKey;
+    SimTime succ_time = 0;
   };
+  // The slot pool is the kernel's largest structure at scale (one slot per
+  // queued event): keep a slot at a cache line and a half.
+  static_assert(sizeof(Slot) <= 96, "simulator slot grew");
   /// A buffered cross-lane event, committed at the next window barrier.
   struct Handoff {
     SimTime time;
@@ -373,6 +413,7 @@ class Simulator {
     std::uint64_t purged = 0;
     std::uint64_t digest = 0;
     std::vector<Entry> heap;
+    std::size_t streamed = 0;  ///< stream events queued behind their head
     std::vector<Slot> slots;
     std::vector<std::uint32_t> free_slots;
     /// Cancelled-but-still-queued event count; shared with Cancelable
@@ -383,6 +424,8 @@ class Simulator {
     std::vector<Handoff> outbox;
     std::uint64_t handoff_seq = 0;
     std::uint64_t handoffs = 0;
+
+    std::size_t depth() const { return heap.size() + streamed; }
   };
 
   static bool later(const Entry& a, const Entry& b) {
@@ -396,6 +439,9 @@ class Simulator {
   }
 
   void schedule(Lane& l, SimTime t, SmallFn fn, std::shared_ptr<Cancelable::State> cancel);
+  /// Fill a free slot and return the event's heap entry (not yet pushed).
+  Entry claim(Lane& l, SimTime t, SmallFn fn, std::shared_ptr<Cancelable::State> cancel);
+  void push(Lane& l, Entry e);
   /// Pop the lane's earliest entry; returns true when a live event ran.
   bool pop_and_run(Lane& l);
   void sift_up(Lane& l, std::size_t i);

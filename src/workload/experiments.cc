@@ -84,12 +84,14 @@ struct DeployTopology {
 
 struct EngineDeployment {
   explicit EngineDeployment(int replicas, std::uint64_t seed, bool delayed,
-                            DeployTopology topo = {}, ObsOptions obs = {}) {
+                            DeployTopology topo = {}, ObsOptions obs = {},
+                            bool announcements = true) {
     ClusterOptions o;
     o.replicas = replicas;
     o.seed = seed;
     o.net = topo.net;
     o.obs = obs;
+    if (!announcements) o.node.engine.announce_interval = 0;
     if (delayed) o.node.storage.mode = SyncMode::kDelayed;
     cluster = std::make_unique<EngineCluster>(o);
     for (NodeId i = 0; i < replicas; ++i) {
@@ -622,7 +624,7 @@ ShardingPoint measure_sharding(int shards, int replicas_per_shard, int clients,
 
 SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
                                 SimDuration warmup, SimDuration measure, std::uint64_t seed,
-                                int sim_threads) {
+                                int sim_threads, bool announcements) {
   SimScalePoint p;
   p.shards = shards;
   p.replicas_per_shard = replicas_per_shard;
@@ -653,7 +655,7 @@ SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
   if (shards == 1) {
     // Single engine group: the pure EVS data path (one sequencer, group-wide
     // multicasts, coalesced acks) with no router in front.
-    EngineDeployment dep(replicas_per_shard, seed, /*delayed=*/false);
+    EngineDeployment dep(replicas_per_shard, seed, /*delayed=*/false, {}, {}, announcements);
     Simulator* sim = &dep.cluster->sim();
     ClosedLoopDriver driver(*sim, sim->now() + warmup, sim->now() + warmup + measure);
     for (int c = 0; c < clients; ++c) driver.add_client(dep.client(c));
@@ -678,6 +680,7 @@ SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
     // per-window pool rendezvous over more parallel work.
     o.sim_handoff = o.net.detect_delay;
     o.sim_env = false;  // this sweep pins its own thread counts
+    if (!announcements) o.node.engine.announce_interval = 0;
     ShardedCluster cluster(o);
     cluster.run_for(seconds(2));  // every shard forms its primary component
     Simulator* sim = &cluster.sim();

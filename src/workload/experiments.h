@@ -226,10 +226,13 @@ struct SimScalePoint {
 /// run). Lane mode's simulated results differ from classic by design
 /// (explicit cross-lane handoff latency) but are bit-identical across
 /// thread counts, so wall-clock deltas between lane rows of the same
-/// configuration measure only the worker pool.
+/// configuration measure only the worker pool. `announcements` = false
+/// turns green-line announcements off, the baseline their cost is
+/// measured against.
 SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
                                 SimDuration warmup, SimDuration measure,
-                                std::uint64_t seed = 1, int sim_threads = 0);
+                                std::uint64_t seed = 1, int sim_threads = 0,
+                                bool announcements = true);
 
 /// Ablation A5: availability of the two quorum systems under a cascading
 /// partition schedule (the network repeatedly shrinks the surviving

@@ -132,6 +132,106 @@ TEST(CoreAnnounce, CrashedReplicaRejoinsWithStaleGreenLine) {
   EXPECT_TRUE(c.converged_primary(c.all_ids()));
 }
 
+std::uint64_t total_sent(EngineCluster& c, int n) {
+  std::uint64_t s = 0;
+  for (NodeId i = 0; i < n; ++i) s += c.engine(i).stats().announces_sent;
+  return s;
+}
+
+/// One strict put from each node in `via` per 5 ms round, for `rounds`.
+void drive_all(EngineCluster& c, const std::vector<NodeId>& via, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    for (NodeId n : via) {
+      c.engine(n).submit({}, Command::put("k" + std::to_string(n), std::to_string(i)), 1,
+                         Semantics::kStrict, nullptr);
+    }
+    c.run_for(millis(5));
+  }
+}
+
+TEST(CoreAnnounce, BusyGroupSendsNoTokens) {
+  // Every replica originates: each one's actions carry its green line, so
+  // a token would say nothing the traffic has not already said.
+  EngineCluster c(small(5));
+  c.run_for(seconds(1));
+  drive_all(c, {0, 1, 2, 3, 4}, 20);
+  const std::uint64_t before = total_sent(c, 5);
+  drive_all(c, {0, 1, 2, 3, 4}, 400);  // 2 s: eight announce intervals
+  EXPECT_EQ(total_sent(c, 5), before);
+  std::uint64_t suppressed = 0;
+  for (NodeId n = 0; n < 5; ++n) suppressed += c.engine(n).stats().announces_suppressed;
+  EXPECT_GT(suppressed, 0u);
+  // The piggybacked lines alone keep the white line moving during the run.
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_GT(c.engine(n).white_line(), c.engine(n).green_count() / 2) << "node " << n;
+  }
+  // Everyone stops at once. The greens that landed after each replica's
+  // last action were never carried, and the tokens suppressed just before
+  // the stop must re-arm to tell them: trimming then completes everywhere.
+  c.run_for(seconds(1));
+  EXPECT_GT(total_sent(c, 5), before);
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_EQ(c.engine(n).white_line(), c.engine(n).green_count()) << "node " << n;
+  }
+}
+
+TEST(CoreAnnounce, ReplicaThatGoesQuietStillAnnounces) {
+  // Node 1 originates, then stops while node 0 keeps going: the recency
+  // suppression must lapse, so node 1 announces its newer line and the
+  // white line moves past the last line its own actions carried.
+  EngineCluster c(small(3));
+  c.run_for(seconds(1));
+  drive_all(c, {0, 1}, 100);
+  const std::int64_t last_carried = c.engine(1).green_count();
+  const std::uint64_t sent_busy = c.engine(1).stats().announces_sent;
+  drive_all(c, {0}, 200);  // 1 s: node 1 is quiet for four intervals
+  c.run_for(seconds(1));
+  EXPECT_GT(c.engine(1).stats().announces_sent, sent_busy);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_GT(c.engine(n).white_line(), last_carried) << "node " << n;
+    EXPECT_EQ(c.engine(n).white_line(), c.engine(n).green_count()) << "node " << n;
+  }
+}
+
+TEST(CoreAnnounce, LineOnceRelayedStillTrimsAfterHeal) {
+  // Node 2's line reaches node 1 while they share a primary component;
+  // then node 2 is cut off and node 0 rejoins node 1 (a non-primary pair:
+  // node 1 alone is no majority of the last primary). With full-vector
+  // announcements node 1 would relay node 2's line to node 0; own-line
+  // announcements never relay, so node 0 learns it only once node 2 is
+  // back. The white line may lag while node 2 is away, but the heal's
+  // exchange re-seeds every line and trimming catches up everywhere, with
+  // invariants 6 (no trim past a real green line) and 10 (honest,
+  // monotone announcements) checked live throughout.
+  EngineCluster c(small(3));
+  c.run_for(seconds(1));
+  drive(c, 0, 5);
+  c.run_for(seconds(1));
+
+  c.partition({{0}, {1, 2}});
+  c.run_for(millis(500));
+  drive(c, 1, 10);  // node 2 is silent: its line reaches node 1 by token
+  c.run_for(seconds(1));
+  const std::int64_t g2 = c.engine(2).green_count();
+  EXPECT_GE(g2, 15);
+
+  c.partition({{0, 1}, {2}});
+  c.run_for(millis(500));
+  drive(c, 1, 10);  // red: no primary without node 2
+  c.run_for(seconds(1));
+  EXPECT_EQ(c.engine(0).green_count(), g2);  // the exchange caught node 0 up
+  EXPECT_LE(c.engine(0).white_line(), g2);
+
+  c.heal();
+  c.run_for(seconds(2));
+  EXPECT_TRUE(c.converged_primary(c.all_ids()));
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(c.engine(n).green_count(), c.engine(0).green_count()) << "node " << n;
+    EXPECT_EQ(c.engine(n).white_line(), c.engine(n).green_count()) << "node " << n;
+    EXPECT_EQ(c.engine(n).action_log().stored_bodies(), 0u) << "node " << n;
+  }
+}
+
 TEST(CoreAnnounce, QuiescentClusterSendsNoTokens) {
   // The timer is lazy: it arms only when the green count moves past the
   // last announced line. A cluster with no traffic after its announcements

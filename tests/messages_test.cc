@@ -121,6 +121,22 @@ TEST(CoreMessages, ActionWireSizeTracksPadding) {
   EXPECT_EQ(a.wire_size(), base + 110);
 }
 
+TEST(CoreMessages, ActionWireSizeMatchesEncoding) {
+  core::Action a;
+  a.id = {4, 9};
+  a.query = db::Command{{db::Op{db::OpType::kGet, "key-1", "", 0}}};
+  a.update = db::Command::put("a-longer-key", std::string(37, 'v'));
+  a.update.ops.push_back(db::Op{db::OpType::kAdd, "n", "", 5});
+  a.padding = 110;
+  for (int i = 0; i < 3; ++i) {
+    BufWriter w;
+    a.encode(w);
+    EXPECT_EQ(a.wire_size(), w.data().size());
+    a.query = {};  // empty commands too
+    a.padding = static_cast<std::uint32_t>(i);
+  }
+}
+
 TEST(CoreMessages, StateMessageRoundTrip) {
   core::StateMessage s;
   s.server_id = 2;
@@ -310,7 +326,7 @@ TEST(CoreMessages, GreenAndRedRetransEncodings) {
 TEST(CoreMessages, AnnounceRoundTrip) {
   core::AnnounceMessage m;
   m.server_id = 3;
-  m.known = {{0, 12}, {1, 7}, {3, 12}};
+  m.green_line = 12;
   Bytes wire = core::encode_announce(m);
   EXPECT_EQ(core::peek_engine_type(wire), core::EngineMsgType::kAnnounce);
   BufReader r(wire);

@@ -147,7 +147,7 @@ TEST(ObsChecker, CatchesLyingAnnouncement) {
   // Invariant 10: announcing a green line beyond the sender's true green
   // count would let peers trim history the announcer does not hold.
   f.green(0, {0, 1}, 1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/3, /*vec=*/1);
+  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/3);
   ASSERT_FALSE(f.checker.ok());
   EXPECT_NE(f.checker.violations()[0].find("ANNOUNCED GREEN LINE BEYOND TRUE GREEN COUNT"),
             std::string::npos);
@@ -157,8 +157,8 @@ TEST(ObsChecker, CatchesNonMonotoneAnnouncement) {
   Forge f;
   f.green(0, {0, 1}, 1);
   f.green(0, {0, 2}, 2);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2, /*vec=*/1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1, /*vec=*/1);
+  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2);
+  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1);
   ASSERT_FALSE(f.checker.ok());
   EXPECT_NE(f.checker.violations()[0].find("NON-MONOTONE GREEN-LINE ANNOUNCEMENT"),
             std::string::npos);
@@ -170,9 +170,9 @@ TEST(ObsChecker, AnnouncementMayRelowerAfterRecovery) {
   // kEngineStart resets the invariant-10 monotonicity baseline.
   f.green(0, {0, 1}, 1);
   f.green(0, {0, 2}, 2);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2, /*vec=*/1);
+  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/2);
   f.node(0).emit(EventKind::kEngineStart, /*green=*/1, /*how=*/1);
-  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1, /*vec=*/1);
+  f.node(0).emit(EventKind::kAnnounceSend, /*line=*/1);
   EXPECT_TRUE(f.checker.ok()) << f.checker.report();
 }
 

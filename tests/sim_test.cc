@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace tordb {
 namespace {
@@ -472,6 +476,125 @@ TEST(SimulatorLanes, DigestsIdenticalAcrossThreadCounts) {
   const auto serial = run(1);
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(8), serial);
+}
+
+// FIFO streams (DESIGN.md §10) must be a pure data-structure change: the
+// same schedule, built from at() or from streams, executes in the same
+// order with the same (time, seq) keys, queue depths and lane digests.
+
+TEST(SimulatorStreams, QueuedStreamEventsCountAndRunInOrder) {
+  Simulator sim;
+  Simulator::Stream rx;
+  std::vector<int> order;
+  sim.at(rx, millis(1), [&order] { order.push_back(1); });
+  sim.at(rx, millis(3), [&order] { order.push_back(3); });
+  sim.at(rx, millis(3), [&order] { order.push_back(4); });  // tie: FIFO
+  sim.at(millis(2), [&order] { order.push_back(2); });
+  // An earlier time than the stream's tail (a crash-reset CPU horizon) is
+  // still scheduled exactly, as a plain heap event.
+  sim.at(rx, millis(0), [&order] { order.push_back(0); });
+  EXPECT_EQ(sim.queue_depth(), 5u);
+  EXPECT_EQ(sim.peak_queue_depth(), 5u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.queue_depth(), 0u);
+  EXPECT_EQ(sim.executed_events(), 5u);
+  EXPECT_TRUE(sim.idle());
+}
+
+/// A seeded, self-extending event mix on the current lane: plain events at
+/// random times, and per-"node" events at nondecreasing times (the shape of
+/// CPU receipts) with an occasional horizon reset, scheduled on streams or,
+/// as the reference, with plain at().
+class StreamMix {
+ public:
+  StreamMix(Simulator& sim, bool use_streams, std::uint64_t seed)
+      : sim_(sim), use_streams_(use_streams), rng_(seed) {}
+
+  void start() {
+    for (int i = 0; i < 8; ++i) spawn();
+  }
+  const std::vector<int>& log() const { return log_; }
+
+ private:
+  static constexpr int kNodes = 4;
+  static constexpr int kBudget = 3000;
+
+  void spawn() {
+    if (next_id_ >= kBudget) return;
+    const int id = next_id_++;
+    auto ev = [this, id] {
+      log_.push_back(id);
+      const auto fanout = rng_.next_below(4);  // grows until the budget
+      for (std::uint64_t k = 0; k < fanout; ++k) spawn();
+    };
+    const auto kind = rng_.next_below(4);
+    if (kind == 0) {
+      sim_.at(sim_.now() + static_cast<SimTime>(rng_.next_below(50)), std::move(ev));
+      return;
+    }
+    const auto node = static_cast<std::size_t>(rng_.next_below(kNodes));
+    SimTime& horizon = horizon_[node];
+    if (rng_.next_below(16) == 0) horizon = 0;  // crash: the horizon resets
+    horizon = std::max(horizon, sim_.now()) + static_cast<SimTime>(rng_.next_below(4));
+    if (use_streams_) {
+      sim_.at(streams_[node], horizon, std::move(ev));
+    } else {
+      sim_.at(horizon, std::move(ev));
+    }
+  }
+
+  Simulator& sim_;
+  bool use_streams_;
+  Rng rng_;
+  Simulator::Stream streams_[kNodes];
+  SimTime horizon_[kNodes] = {};
+  std::vector<int> log_;
+  int next_id_ = 0;
+};
+
+TEST(SimulatorStreams, MixedScheduleMatchesAllAt) {
+  auto run = [](bool streams) {
+    Simulator sim(3);
+    StreamMix mix(sim, streams, 99);
+    mix.start();
+    const std::size_t ran = sim.run();
+    return std::make_tuple(mix.log(), ran, sim.now(), sim.peak_queue_depth());
+  };
+  const auto reference = run(false);
+  EXPECT_EQ(std::get<0>(reference).size(), 3000u);
+  EXPECT_EQ(run(true), reference);
+}
+
+TEST(SimulatorStreams, MixedScheduleMatchesAllAtInLanes) {
+  // Every worker lane runs its own mix; lane digests fold each executed
+  // event's (time, seq), so they also pin the keys, not just the order.
+  auto run = [](bool streams, int threads) {
+    Simulator sim(5);
+    sim.enable_lanes(5, threads, millis(1));  // 4 workers + control
+    std::vector<std::unique_ptr<StreamMix>> mixes;
+    for (int lane = 0; lane < 4; ++lane) {
+      Simulator::LaneScope scope(sim, lane);
+      mixes.push_back(std::make_unique<StreamMix>(sim, streams, 100 + lane));
+      mixes.back()->start();
+    }
+    sim.run();
+    std::vector<std::uint64_t> out;
+    for (int lane = 0; lane < 4; ++lane) {
+      EXPECT_EQ(mixes[static_cast<std::size_t>(lane)]->log().size(), 3000u);
+      for (const int id : mixes[static_cast<std::size_t>(lane)]->log()) out.push_back(id);
+      out.push_back(sim.lane_digest(lane));
+      out.push_back(sim.lane_executed(lane));
+      out.push_back(static_cast<std::uint64_t>(sim.lane_now(lane)));
+    }
+    out.push_back(sim.peak_queue_depth());
+    out.push_back(sim.windows_run());
+    return out;
+  };
+  const auto reference = run(false, 1);
+  EXPECT_EQ(run(true, 1), reference);
+  EXPECT_EQ(run(true, 4), reference);
+  EXPECT_EQ(run(false, 4), reference);
 }
 
 TEST(SimulatorLanes, ClassicModeKeepsPostAndCallInline) {
