@@ -23,7 +23,10 @@
 //
 // Both modes run the 1x100 group twice, with green-line announcements on
 // and off, and fail if announcements cost it more than 5% of its simulated
-// throughput (DESIGN.md §14).
+// throughput (DESIGN.md §14), or if it falls below 2,274 green/s: twice
+// what it ran at while every member acked to all 99 others, the floor that
+// keeps per-member stability cost from growing with the group again
+// (clustered acks, DESIGN.md §1).
 //
 // --smoke (or TORDB_BENCH_FAST=1) runs a reduced sweep and enforces a
 // wall-clock budget (default 90 s, TORDB_SIM_SCALE_BUDGET_MS to override):
@@ -181,6 +184,14 @@ int main(int argc, char** argv) {
   if (group100_on < 0.95 * group100_off) {
     std::fprintf(stderr, "FAIL: announcements cost the 1x100 group more than 5%% of its "
                          "throughput\n");
+    return 1;
+  }
+  constexpr double kGroup100Floor = 2274.0;
+  if (group100_on < kGroup100Floor) {
+    std::fprintf(stderr,
+                 "FAIL: the 1x100 group ran at %.1f green/s (< %.0f): stability traffic "
+                 "per member grows with the group again\n",
+                 group100_on, kGroup100Floor);
     return 1;
   }
   // The scaling criterion needs hardware to scale onto: enforce it only

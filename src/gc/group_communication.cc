@@ -35,8 +35,7 @@ GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listene
       counter_floor_(initial_config_counter) {
   config_.id = ConfigId{initial_config_counter, id_};
   config_.members = {id_};
-  known_contig_.emplace_back(id_, 0);
-  rebuild_known_index();
+  reset_stability();
 
   // The shared handler hands over the refcounted wire buffer, letting the
   // delivery buffer retain ORDERED payloads without a per-member deep copy.
@@ -92,8 +91,14 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Byte
   switch (type) {
     case MsgType::kData: handle_data(from, r); break;
     case MsgType::kOrdered: handle_ordered(r, wire); break;
-    case MsgType::kAck: handle_ack(from, decode_ack(r)); break;
-    case MsgType::kStable: break;  // legacy: stability rides on ACKs now
+    case MsgType::kAck:
+      ++stats_.acks_received;
+      handle_ack(from, decode_ack(r));
+      break;
+    case MsgType::kStable:
+      ++stats_.stables_received;
+      handle_stable(from, decode_stable(r));
+      break;
     case MsgType::kInquire: handle_inquire(from, decode_inquire(r)); break;
     case MsgType::kJoinInfo: handle_join_info(from, decode_join_info(r)); break;
     case MsgType::kPlan: handle_plan(decode_plan(r)); break;
@@ -197,40 +202,51 @@ void GroupCommunication::store_buffered(std::int64_t seq, BufferedMsg&& m) {
   if (advanced) after_contig_advance();
 }
 
-std::int64_t* GroupCommunication::known_slot(NodeId m) {
-  const auto i = static_cast<std::size_t>(m - known_base_);  // wraps below the base
-  if (i >= known_index_.size() || known_index_[i] < 0) return nullptr;
-  return &known_contig_[static_cast<std::size_t>(known_index_[i])].second;
+std::int32_t GroupCommunication::pos_of(NodeId m) const {
+  const auto i = static_cast<std::size_t>(m - member_base_);  // wraps below the base
+  return i < member_pos_.size() ? member_pos_[i] : -1;
 }
 
-void GroupCommunication::rebuild_known_index() {
-  known_index_.clear();
-  if (known_contig_.empty()) return;
-  known_base_ = known_contig_.front().first;
-  known_index_.resize(static_cast<std::size_t>(known_contig_.back().first - known_base_) + 1, -1);
-  for (std::size_t k = 0; k < known_contig_.size(); ++k) {
-    known_index_[static_cast<std::size_t>(known_contig_[k].first - known_base_)] =
-        static_cast<std::int32_t>(k);
+void GroupCommunication::reset_stability() {
+  const std::vector<NodeId>& ms = config_.members;
+  const auto [lo, hi] = std::minmax_element(ms.begin(), ms.end());
+  member_base_ = *lo;
+  member_pos_.assign(static_cast<std::size_t>(*hi - *lo) + 1, -1);
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    member_pos_[static_cast<std::size_t>(ms[i] - member_base_)] = static_cast<std::int32_t>(i);
   }
+  assert(pos_of(id_) >= 0);
+  self_pos_ = static_cast<std::size_t>(pos_of(id_));
+  cluster_begin_ = self_pos_ - self_pos_ % kAckCluster;
+  cluster_contig_.assign(std::min(kAckCluster, ms.size() - cluster_begin_), 0);
+  cluster_line_.assign((ms.size() + kAckCluster - 1) / kAckCluster, 0);
+  last_acked_value_ = -1;
+  last_stable_sent_ = 0;
+  // Pacing timers armed in the old configuration will no-op on config
+  // mismatch; clear the flags so the new configuration can arm its own.
+  ack_scheduled_ = false;
+  stable_scheduled_ = false;
+}
+
+std::int64_t GroupCommunication::cluster_min() const {
+  return *std::min_element(cluster_contig_.begin(), cluster_contig_.end());
 }
 
 std::int64_t GroupCommunication::safe_line() const {
-  if (!safe_line_dirty_) return safe_line_cache_;
-  // known_contig_ holds exactly the configuration's members (install
-  // rebuilds it), so scanning it is the same min the members loop computed.
-  std::int64_t line = recv_contig_;
-  for (const auto& [m, v] : known_contig_) {
-    if (m != id_) line = std::min(line, v);
+  // At most 15 peers plus one entry per other cluster: cheap enough to scan
+  // on every ACK and STABLE without a memo.
+  std::int64_t line = cluster_min();
+  const std::size_t own = cluster_begin_ / kAckCluster;
+  for (std::size_t k = 0; k < cluster_line_.size(); ++k) {
+    if (k != own) line = std::min(line, cluster_line_[k]);
   }
-  safe_line_cache_ = line;
-  safe_line_dirty_ = false;
   return line;
 }
 
 void GroupCommunication::after_contig_advance() {
-  if (std::int64_t* self = known_slot(id_)) *self = recv_contig_;
-  safe_line_dirty_ = true;  // our own contribution to the min advanced
-  if (config_.members.size() > 1) schedule_ack();
+  cluster_contig_[self_pos_ - cluster_begin_] = recv_contig_;
+  if (cluster_contig_.size() > 1) schedule_ack();
+  schedule_stable();
   try_deliver();
 }
 
@@ -294,35 +310,64 @@ void GroupCommunication::schedule_ack() {
     if (recv_contig_ == last_acked_value_) return;
     last_ack_sent_ = sim_.now();
     last_acked_value_ = recv_contig_;
-    // Acknowledgements go to every member directly (one hardware
-    // multicast), so safe delivery costs three one-way hops (DATA, ORDERED,
-    // ACK) rather than four — the difference matters on wide-area links.
+    // Acknowledgements go to every cluster peer directly (one hardware
+    // multicast), so safe delivery within a cluster costs three one-way
+    // hops (DATA, ORDERED, ACK) rather than four — the difference matters
+    // on wide-area links. Other clusters learn it from the leader's STABLE.
     Bytes wire = encode(AckMsg{config_.id, recv_contig_});
-    std::vector<NodeId> others;
-    for (NodeId m : config_.members) {
-      if (m != id_) others.push_back(m);
+    std::vector<NodeId> peers;
+    peers.reserve(cluster_contig_.size());
+    for (std::size_t i = cluster_begin_; i < cluster_begin_ + cluster_contig_.size(); ++i) {
+      if (i != self_pos_) peers.push_back(config_.members[i]);
     }
-    send_all(others, std::move(wire));
+    send_all(peers, std::move(wire));
+  });
+}
+
+void GroupCommunication::schedule_stable() {
+  // Only the leader of a multi-cluster group announces.
+  if (self_pos_ != cluster_begin_ || cluster_line_.size() < 2) return;
+  if (stable_scheduled_ || state_ != GcState::kOperational) return;
+  if (cluster_min() <= last_stable_sent_) return;
+  stable_scheduled_ = true;
+  const ConfigId cfg = config_.id;
+  // Coalesced but not rate limited: the minimum advances only when the
+  // cluster's slowest member acks, and those ACKs are paced already.
+  schedule(params_.ack_coalesce, [this, cfg] {
+    stable_scheduled_ = false;
+    if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
+    const std::int64_t line = cluster_min();
+    if (line <= last_stable_sent_) return;
+    last_stable_sent_ = line;
+    const std::size_t cluster_end = cluster_begin_ + cluster_contig_.size();
+    std::vector<NodeId> outside;
+    outside.reserve(config_.members.size() - cluster_contig_.size());
+    for (std::size_t i = 0; i < config_.members.size(); ++i) {
+      if (i < cluster_begin_ || i >= cluster_end) outside.push_back(config_.members[i]);
+    }
+    send_all(outside, encode(StableMsg{config_.id, line}));
   });
 }
 
 void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
   if (state_ != GcState::kOperational || msg.config != config_.id) return;
-  std::int64_t* slot = known_slot(from);
-  if (slot == nullptr) {
-    // Config-id match implies membership, but stay defensive: track the
-    // sender exactly as the map's operator[] used to.
-    known_contig_.insert(std::upper_bound(known_contig_.begin(), known_contig_.end(),
-                                          std::pair<NodeId, std::int64_t>{from, 0}),
-                         {from, 0});
-    rebuild_known_index();
-    slot = known_slot(from);
-  }
-  std::int64_t& known = *slot;
-  if (msg.recv_contig <= known) return;
-  // The min over members can only move if the advancing member was at it.
-  if (known <= safe_line_cache_) safe_line_dirty_ = true;
-  known = msg.recv_contig;
+  // Config-id match implies membership, and only cluster peers ack to us.
+  const std::int32_t pos = pos_of(from);
+  if (pos < 0) return;
+  const auto i = static_cast<std::size_t>(pos) - cluster_begin_;  // wraps below the cluster
+  if (i >= cluster_contig_.size() || msg.recv_contig <= cluster_contig_[i]) return;
+  cluster_contig_[i] = msg.recv_contig;
+  schedule_stable();
+  try_deliver();
+}
+
+void GroupCommunication::handle_stable(NodeId from, const StableMsg& msg) {
+  if (state_ != GcState::kOperational || msg.config != config_.id) return;
+  const std::int32_t pos = pos_of(from);
+  if (pos < 0 || pos % static_cast<std::int32_t>(kAckCluster) != 0) return;  // leaders only
+  std::int64_t& line = cluster_line_[static_cast<std::size_t>(pos) / kAckCluster];
+  if (msg.line <= line) return;
+  line = msg.line;
   try_deliver();
 }
 
@@ -402,14 +447,15 @@ JoinInfoMsg GroupCommunication::make_join_info(const GatherToken& token) const {
   info.old_members = config_.members;
   info.recv_contig = recv_contig_;
   info.delivered_upto = delivered_upto_;
+  // Own cluster (self included): the ACKed prefixes. Other clusters: the
+  // leader's announced minimum, a lower bound on each member's prefix that
+  // is >= our own safe line (DESIGN.md §1.1), so the coordinator's plan
+  // formula keeps the safe-delivery trichotomy.
   info.known_contig.reserve(config_.members.size());
-  for (NodeId m : config_.members) {
-    if (m == id_) {
-      info.known_contig.push_back(recv_contig_);
-    } else {
-      const std::int64_t* v = const_cast<GroupCommunication*>(this)->known_slot(m);
-      info.known_contig.push_back(v == nullptr ? 0 : *v);
-    }
+  for (std::size_t i = 0; i < config_.members.size(); ++i) {
+    const std::size_t c = i - cluster_begin_;  // wraps below the own cluster
+    info.known_contig.push_back(c < cluster_contig_.size() ? cluster_contig_[c]
+                                                           : cluster_line_[i / kAckCluster]);
   }
   info.max_config_counter = counter_floor_;
   return info;
@@ -643,15 +689,7 @@ void GroupCommunication::run_install() {
   recv_contig_ = 0;
   delivered_upto_ = 0;
   buffer_.clear();
-  known_contig_.clear();
-  known_contig_.reserve(config_.members.size());
-  for (NodeId m : config_.members) known_contig_.emplace_back(m, 0);
-  rebuild_known_index();
-  safe_line_dirty_ = true;
-  last_acked_value_ = -1;
-  // Pacing timers armed in the old configuration will no-op on config
-  // mismatch; clear the flags so the new configuration can arm its own.
-  ack_scheduled_ = false;
+  reset_stability();
   state_ = GcState::kOperational;
   committed_.reset();
   plan_.reset();

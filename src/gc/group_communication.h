@@ -5,13 +5,27 @@
 //
 //   data path     : senders forward payloads to the configuration's
 //                   *sequencer* (lowest member id), which assigns the global
-//                   sequence and multicasts ORDERED messages. Members
-//                   multicast coalesced acknowledgements of their contiguous
-//                   prefix to the whole group; a message is delivered *safe*
-//                   once every member's ack covers it.
+//                   sequence and multicasts ORDERED messages. Stability is
+//                   aggregated in two levels. The sorted members split into
+//                   *ack clusters* of 16 consecutive positions; members
+//                   multicast coalesced ACKs of their contiguous prefix to
+//                   their own cluster only. Each cluster's first member (its
+//                   *leader*) multicasts a STABLE carrying the cluster's
+//                   minimum to every member outside the cluster whenever
+//                   that minimum advances. A member's safe line is the min
+//                   of its own prefix, its cluster peers' ACKs and the other
+//                   clusters' announced minimums; a message is delivered
+//                   *safe* once the safe line covers it. Each member thus
+//                   receives ~15 ACKs + ceil(n/16)-1 STABLEs per ack
+//                   interval instead of n-1 ACKs, and a group of <= 16 (the
+//                   paper's 14-node testbed) is one cluster that sends no
+//                   STABLE at all (DESIGN.md §1.1).
 //   membership    : on any reachability change a flush protocol runs: the
 //     (flush)       lowest reachable node INQUIREs, members reply JOIN_INFO
-//                   (what they hold and what they know others received), the
+//                   (what they hold and what they know others received; a
+//                   member of another cluster is reported at that cluster's
+//                   announced minimum, a lower bound on its prefix that is
+//                   >= the reporter's safe line), the
 //                   coordinator computes a PLAN (per old configuration: who
 //                   continues together, the safe line, the retransmission
 //                   target), holders RETRANSmit so all continuing members
@@ -70,6 +84,8 @@ struct GcStats {
   std::uint64_t gathers_started = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t resent_after_install = 0;
+  std::uint64_t acks_received = 0;     ///< ACK packets from cluster peers
+  std::uint64_t stables_received = 0;  ///< STABLE packets from other clusters' leaders
 };
 
 class GroupCommunication {
@@ -140,6 +156,7 @@ class GroupCommunication {
   void handle_data(NodeId from, BufReader& r);
   void handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
+  void handle_stable(NodeId from, const StableMsg& msg);
   void store_ordered(OrderedMsg&& msg);
   void store_buffered(std::int64_t seq, BufferedMsg&& m);
   void try_deliver();
@@ -148,6 +165,11 @@ class GroupCommunication {
   std::int64_t safe_line() const;
   void after_contig_advance();
   void schedule_ack();
+  /// Leader only: announce the cluster's minimum if it advanced.
+  void schedule_stable();
+  std::int64_t cluster_min() const;
+  /// Rebuild the member index and stability knowledge for config_.
+  void reset_stability();
   void send_data(const OutEntry& entry);
   bool is_sequencer() const { return !config_.members.empty() && config_.members.front() == id_; }
 
@@ -191,31 +213,31 @@ class GroupCommunication {
   std::int64_t buffer_base_ = 0;  ///< seq of buffer_[0]; meaningless when empty
   BufferedMsg* buffered(std::int64_t seq);  ///< slot for seq, or nullptr
   void buffer_put(std::int64_t seq, BufferedMsg m);
-  /// Per-member ack knowledge, sorted by member id (mirrors config members).
-  /// Flat storage: probed on every ack and scanned by safe_line(), the two
-  /// hottest paths in the layer.
-  std::vector<std::pair<NodeId, std::int64_t>> known_contig_;
-  std::int64_t* known_slot(NodeId m);  ///< value for m, or nullptr
-  /// Dense member index: known_index_[m - known_base_] is m's position in
-  /// known_contig_ (-1: not a member). Member ids of one group are a narrow
-  /// range, so an O(1) probe replaces the binary search on every ack.
-  /// Rebuilt whenever known_contig_ changes shape (install, insert).
-  std::vector<std::int32_t> known_index_;
-  NodeId known_base_ = 0;
-  void rebuild_known_index();
-  /// Memoized safe_line(). Contig knowledge only advances within a
-  /// configuration, so the min over members is stable unless the member
-  /// holding it advances; try_deliver() runs on every ACK, which made the
-  /// full O(members) min scan the simulation's hottest function at 100
-  /// replicas.
-  mutable std::int64_t safe_line_cache_ = 0;
-  mutable bool safe_line_dirty_ = true;
+  /// Ack cluster width. Fixed, not a knob: the paper's 14-node testbed stays
+  /// one cluster (so its traffic is unchanged), while a member of an n-node
+  /// group receives ~15 + ceil(n/16)-1 stability messages per ack interval.
+  static constexpr std::size_t kAckCluster = 16;
+  /// Dense member index: member_pos_[m - member_base_] is m's position in
+  /// config_.members (-1: not a member). Member ids of one group are a
+  /// narrow range, so an O(1) probe serves every ACK and STABLE.
+  std::vector<std::int32_t> member_pos_;
+  NodeId member_base_ = 0;
+  std::int32_t pos_of(NodeId m) const;  ///< position in config_.members, or -1
+  std::size_t self_pos_ = 0;
+  /// Own cluster's contig knowledge, indexed by position - cluster_begin_;
+  /// the own slot tracks recv_contig_.
+  std::vector<std::int64_t> cluster_contig_;
+  std::size_t cluster_begin_ = 0;
+  /// Every cluster's last announced minimum (the own cluster's is unused).
+  std::vector<std::int64_t> cluster_line_;
   std::int64_t counter_floor_ = 0;
 
   // Ack / stability pacing.
   bool ack_scheduled_ = false;
   SimTime last_ack_sent_ = -1'000'000'000;
   std::int64_t last_acked_value_ = -1;
+  bool stable_scheduled_ = false;
+  std::int64_t last_stable_sent_ = 0;
 
   // Local multicasts not yet self-delivered (resent on config change).
   std::deque<OutEntry> outbox_;

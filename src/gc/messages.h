@@ -1,7 +1,8 @@
 // Wire messages of the group-communication protocol.
 //
 // Data path: DATA (sender -> sequencer), ORDERED (sequencer -> members),
-// ACK (member -> sequencer), STABLE (sequencer -> members).
+// ACK (member -> the other members of its ack cluster), STABLE (cluster
+// leader -> every member outside its cluster).
 //
 // Membership path (flush protocol): INQUIRE (coordinator -> members),
 // JOIN_INFO (member -> coordinator), PLAN (coordinator -> members),
@@ -66,9 +67,7 @@ struct AckMsg {
 
 struct StableMsg {
   ConfigId config;
-  /// Per-member highest contiguous seq, aligned with the configuration's
-  /// member list. min() of this vector is the safe line.
-  std::vector<std::int64_t> member_contig;
+  std::int64_t line = 0;  ///< min recv_contig the leader knows over its cluster
 };
 
 struct InquireMsg {

@@ -136,6 +136,9 @@ std::vector<Scenario> scenarios() {
   for (std::uint64_t s = 101; s <= 124; ++s) v.push_back({s, 5, 35, 2});
   for (std::uint64_t s = 201; s <= 214; ++s) v.push_back({s, 7, 30, 3});
   for (std::uint64_t s = 301; s <= 306; ++s) v.push_back({s, 9, 40, 3});
+  // Above 16 replicas the gc layer's stability spans several ack clusters.
+  for (std::uint64_t s = 401; s <= 406; ++s) v.push_back({s, 20, 30, 3});
+  for (std::uint64_t s = 501; s <= 506; ++s) v.push_back({s, 34, 30, 3});
   return v;
 }
 

@@ -12,6 +12,7 @@ namespace tordb::gc {
 namespace {
 
 using testing::GcCluster;
+using testing::parse_payload;
 
 struct Scenario {
   std::uint64_t seed;
@@ -76,6 +77,17 @@ TEST_P(GcRandomSchedule, InvariantsHoldAndConverge) {
   c.run_for(seconds(5));
 
   EXPECT_TRUE(c.converged(all)) << "seed " << sc.seed;
+  // Liveness: the merged configuration delivers a fresh safe message safe
+  // in regular at every member.
+  c.multicast(all.back(), ++k, Service::kSafe);
+  c.run_for(millis(200));
+  for (NodeId n : all) {
+    const auto& ds = c.record(n).deliveries;
+    ASSERT_FALSE(ds.empty()) << "seed " << sc.seed << " node " << n;
+    EXPECT_EQ(parse_payload(ds.back().payload), std::make_pair(all.back(), k))
+        << "seed " << sc.seed << " node " << n;
+    EXPECT_EQ(ds.back().kind, DeliveryKind::kSafeInRegular) << "seed " << sc.seed << " node " << n;
+  }
   c.check_all_invariants();
 }
 
@@ -85,6 +97,13 @@ std::vector<Scenario> scenarios() {
   for (std::uint64_t seed = 21; seed <= 44; ++seed) v.push_back({seed, 6, true});
   for (std::uint64_t seed = 45; seed <= 60; ++seed) v.push_back({seed, 9, true});
   for (std::uint64_t seed = 61; seed <= 68; ++seed) v.push_back({seed, 14, true});
+  // Above 16 members stability runs through two ack clusters or more
+  // (cluster leaders' STABLEs): with and without crashes, which can take
+  // a cluster's leader down.
+  std::uint64_t seed = 69;
+  for (int nodes : {20, 30, 40}) {
+    for (int i = 0; i < 6; ++i, ++seed) v.push_back({seed, nodes, i >= 3});
+  }
   return v;
 }
 

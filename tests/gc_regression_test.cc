@@ -184,5 +184,99 @@ TEST(GcRegression, SafeServiceBlocksLaterAgreedUntilStable) {
   }
 }
 
+TEST(GcRegression, RemoteClusterLeaderCrashStallsSafeOnlyUntilInstall) {
+  // Above 16 members, a member learns another ack cluster's progress only
+  // from that cluster's leader (its first member). Once the leader crashes,
+  // no STABLE covers newer messages, so safe delivery stalls; the flush
+  // then installs a configuration with a new leader and it resumes.
+  GcCluster c(20);  // clusters: positions 0-15 and 16-19, led by 0 and 16
+  std::vector<NodeId> all, survivors;
+  for (NodeId n = 0; n < 20; ++n) {
+    all.push_back(n);
+    if (n != 16) survivors.push_back(n);
+  }
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged(all));
+  const ConfigId old_config = c.gc(0).config().id;
+
+  // Node n's latest delivery is node 1's k-th message, safe in its current
+  // regular configuration.
+  auto expect_last_safe = [&](NodeId n, std::int64_t k) {
+    const auto& ds = c.record(n).deliveries;
+    ASSERT_FALSE(ds.empty()) << "node " << n;
+    EXPECT_EQ(parse_payload(ds.back().payload), std::make_pair(NodeId{1}, k)) << "node " << n;
+    EXPECT_EQ(ds.back().kind, DeliveryKind::kSafeInRegular) << "node " << n;
+    EXPECT_EQ(ds.back().config, c.gc(n).config().id) << "node " << n;
+  };
+  // Before the crash, node 1's safe message is stable across both clusters.
+  c.multicast(1, 1);
+  c.run_for(millis(50));
+  for (NodeId n : all) expect_last_safe(n, 1);
+
+  // Ordered in the old configuration, but never covered by the second
+  // cluster's minimum: every survivor holds it until the flush, which
+  // delivers it in the transitional configuration.
+  c.crash(16);
+  c.multicast(1, 2);
+  c.run_for(millis(100));
+  ASSERT_TRUE(c.converged(survivors));
+  for (NodeId n : survivors) {
+    bool found = false;
+    for (const auto& d : c.record(n).deliveries) {
+      if (parse_payload(d.payload) != std::make_pair(NodeId{1}, std::int64_t{2})) continue;
+      found = true;
+      EXPECT_EQ(d.config, old_config) << "node " << n;
+      EXPECT_EQ(d.kind, DeliveryKind::kTransitional) << "node " << n;
+    }
+    EXPECT_TRUE(found) << "node " << n << " never delivered the stalled message";
+  }
+
+  // The new configuration's second cluster (17-19) has leader 17: safe
+  // delivery resumes.
+  c.multicast(1, 3);
+  c.run_for(millis(50));
+  for (NodeId n : survivors) expect_last_safe(n, 3);
+  c.check_all_invariants();
+}
+
+TEST(GcRegression, HundredMemberGroupReceivesClusteredStability) {
+  // Stability traffic per member does not grow with the group: in a
+  // 100-member group (clusters of 16, the last one 4) each member hears
+  // ACKs from at most 15 cluster peers and STABLEs from at most 6 other
+  // leaders per ack interval, rather than 99 ACKs.
+  constexpr NodeId kNodes = 100;
+  GcCluster c(kNodes);
+  std::vector<NodeId> all;
+  for (NodeId n = 0; n < kNodes; ++n) all.push_back(n);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged(all));
+
+  std::int64_t k = 0;
+  auto traffic = [&](SimDuration d) {  // one safe multicast per ms, round robin
+    for (SimDuration t = 0; t < d; t += millis(1)) {
+      c.multicast(static_cast<NodeId>(k % kNodes), k + 1);
+      ++k;
+      c.run_for(millis(1));
+    }
+  };
+  traffic(millis(50));  // reach steady state
+  std::vector<GcStats> before;
+  for (NodeId n : all) before.push_back(c.gc(n).stats());
+  const SimDuration window = millis(300);
+  traffic(window);
+
+  // Each sender is rate limited to one ACK (or STABLE) per interval; one
+  // extra interval absorbs the window's edges.
+  const std::uint64_t intervals = static_cast<std::uint64_t>(window / GcParams{}.ack_min_interval) + 1;
+  for (NodeId n : all) {
+    const GcStats& now = c.gc(n).stats();
+    const GcStats& was = before[static_cast<std::size_t>(n)];
+    EXPECT_LE(now.acks_received - was.acks_received, 15 * intervals) << "node " << n;
+    EXPECT_LE(now.stables_received - was.stables_received, 6 * intervals) << "node " << n;
+    EXPECT_GE(now.safe_deliveries - was.safe_deliveries, 250u) << "node " << n;
+  }
+  c.check_all_invariants();
+}
+
 }  // namespace
 }  // namespace tordb::gc

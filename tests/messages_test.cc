@@ -44,6 +44,27 @@ TEST(GcMessages, OrderedRoundTrip) {
   EXPECT_EQ(back.service, gc::Service::kAgreed);
 }
 
+TEST(GcMessages, AckAndStableRoundTrip) {
+  // ACK and STABLE share the {config, line} layout: one member's prefix, or
+  // a cluster leader's minimum over its cluster.
+  const Bytes ack = encode(gc::AckMsg{ConfigId{4, 1}, 31});
+  const Bytes stable = encode(gc::StableMsg{ConfigId{4, 1}, 27});
+  EXPECT_EQ(gc::peek_type(ack), gc::MsgType::kAck);
+  EXPECT_EQ(gc::peek_type(stable), gc::MsgType::kStable);
+  EXPECT_EQ(stable.size(), ack.size());
+  BufReader ra(ack);
+  ra.u8();
+  const auto a = gc::decode_ack(ra);
+  EXPECT_EQ(a.config, (ConfigId{4, 1}));
+  EXPECT_EQ(a.recv_contig, 31);
+  BufReader rs(stable);
+  rs.u8();
+  const auto st = gc::decode_stable(rs);
+  EXPECT_EQ(st.config, (ConfigId{4, 1}));
+  EXPECT_EQ(st.line, 27);
+  EXPECT_TRUE(rs.done());
+}
+
 TEST(GcMessages, PlanRoundTrip) {
   gc::PlanMsg m;
   m.token = gc::GatherToken{2, 8};
