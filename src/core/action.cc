@@ -19,17 +19,21 @@ void Action::encode(BufWriter& w) const {
 
 Action Action::decode(BufReader& r) {
   Action a;
+  decode_into(r, a);
+  return a;
+}
+
+void Action::decode_into(BufReader& r, Action& a) {
   a.type = static_cast<ActionType>(r.u8());
   a.id = r.action_id();
   a.green_line = r.i64();
   a.client = r.i64();
   a.semantics = static_cast<Semantics>(r.u8());
-  a.query = db::Command::decode(r);
-  a.update = db::Command::decode(r);
+  db::Command::decode_into(r, a.query);
+  db::Command::decode_into(r, a.update);
   a.subject = r.i32();
   a.padding = r.u32();
   for (std::uint32_t i = 0; i < a.padding; ++i) r.u8();
-  return a;
 }
 
 std::size_t Action::wire_size() const {

@@ -49,6 +49,9 @@ struct Action {
 
   void encode(BufWriter& w) const;
   static Action decode(BufReader& r);
+  /// decode() into `a`, reusing its commands' storage: an action decoded
+  /// into the same object every time allocates nothing in steady state.
+  static void decode_into(BufReader& r, Action& a);
 
   /// Wire size contribution of this action (payload + padding), used by the
   /// network cost model. The paper's evaluation uses 200-byte actions.

@@ -7,7 +7,8 @@
 // green at every replica, discardable). This module owns all of the
 // bookkeeping that coloring needs:
 //
-//   - action body storage (red + untrimmed green bodies),
+//   - action body storage: pending red bodies in a hash table by action
+//     id, green bodies in the green sequence itself,
 //   - the green sequence with O(1) position indexing (contiguous vector
 //     with a trim offset — positions white+1..green),
 //   - per-creator cuts: `red_cut` (contiguous locally-ordered prefix,
@@ -89,6 +90,14 @@ class ActionLog {
   /// first if needed. Duplicates (already green) return position 0.
   GreenResult mark_green(Action&& a);
   GreenResult mark_green(const Action& a) { return mark_green(Action(a)); }
+  /// mark_green for an action delivered together with its canonical
+  /// encoding `enc` (Action::encode's bytes, shared with the gc buffer).
+  /// When `a` is its creator's next action (the steady state), the log
+  /// keeps `enc` rather than a decoded copy and decodes it again only if a
+  /// cold path (body_of, green_body_at) asks; the result's view and body
+  /// then point at `a` itself, so the caller keeps `a` alive and unchanged
+  /// while it consumes them. Otherwise it is mark_green(Action(a)).
+  GreenResult mark_green(const Action& a, SharedBytes enc);
 
   // --- queries -------------------------------------------------------------
 
@@ -112,7 +121,7 @@ class ActionLog {
   /// Actions parked waiting for creator-FIFO predecessors.
   std::size_t waiting_count() const { return red_waiting_.size(); }
   /// Bodies currently stored (pending reds + untrimmed greens).
-  std::size_t stored_bodies() const { return store_.size(); }
+  std::size_t stored_bodies() const { return store_.size() + green_bodies_; }
   /// Logical bytes of the stored bodies (sum of wire sizes) — the memory
   /// curve bench_memory plots and the gc.bodies.bytes gauge samples.
   /// Maintained incrementally at every store insert/overwrite/erase.
@@ -169,23 +178,52 @@ class ActionLog {
     std::int64_t red_cut = 0;        ///< A: redCut — contiguous local prefix
     std::int64_t green_red_cut = 0;  ///< prefix covered by the green order
   };
-  /// Body plus its green position (0 while only red), one entry per stored
-  /// action instead of parallel body/position tables. Heap-allocated behind
-  /// the flat table so body pointers stay stable across table growth (the
-  /// mark_red contract: pointers live until the action is trimmed).
+  /// A stored body. Heap-allocated so body pointers stay stable while it
+  /// moves between the red table and the green sequence (the mark_red
+  /// contract: pointers live until the action is trimmed).
   struct StoredAction {
     Action body;
-    std::int64_t green_pos = 0;
   };
+  /// One green position: the action id and its body, held decoded, as an
+  /// encoding, or both once a cold path decoded it (neither when unknown,
+  /// e.g. below an adopted prefix, and once trimmed).
+  struct GreenEntry {
+    ActionId id;
+    /// Mutable: cold-path lookups cache the bodies they decode.
+    mutable std::unique_ptr<StoredAction> body;
+    SharedBytes enc;
+    bool has_body() const { return body != nullptr || enc.buf != nullptr; }
+    /// Wire size of the body (0 without one).
+    std::int64_t bytes() const { return body ? static_cast<std::int64_t>(body->body.wire_size()) : enc.len; }
+  };
+  /// The entry's decoded body, decoding `enc` on first use; nullptr if none.
+  const Action* decoded(const GreenEntry& e) const;
+  /// Append `e` as the next green position of its creator.
+  GreenResult push_green(CreatorState& cs, GreenEntry e, std::span<const Action* const> newly_red,
+                         const Action* body);
 
+  /// Admit `a`, the creator's next index, and then every parked successor
+  /// it unblocks; each is appended to admitted_.
+  void admit(CreatorState& cs, Action&& a);
+  /// admit() the parked action that follows the creator's red cut, if any.
+  void admit_parked_successor(CreatorState& cs, NodeId creator);
+  /// Store a newly admitted red body. An action already green (marked
+  /// green while parked) keeps its green entry, which takes the body.
+  Action* store_red(const CreatorState& cs, Action&& a);
+  /// The green entry of `id`, or nullptr (a scan: cold paths only).
+  GreenEntry* green_entry(const ActionId& id);
+  const GreenEntry* green_entry(const ActionId& id) const;
   void compact_green_seq();
 
   std::int64_t green_count_ = 0;
   std::int64_t white_count_ = 0;  ///< greens trimmed as white
-  std::int64_t body_bytes_ = 0;   ///< wire bytes of the bodies in store_
-  /// Positions white+1..green live at indexes [green_head_, size).
-  std::vector<ActionId> green_seq_;
+  std::int64_t body_bytes_ = 0;   ///< wire bytes of the bodies in store_ and green_seq_
+  /// Positions white+1..green live at indexes [green_head_, size). Green
+  /// bodies live here rather than in store_, so the hot path (admit,
+  /// green, trim) touches no hash table: trimming pops them in order.
+  std::vector<GreenEntry> green_seq_;
   std::size_t green_head_ = 0;
+  std::size_t green_bodies_ = 0;  ///< entries of green_seq_ with a body
   /// Tiny (group-sized) and iterated for wire encodings: the sorted vector
   /// gives creator-ordered iteration for free.
   util::VecMap<NodeId, CreatorState> creators_;
@@ -195,7 +233,7 @@ class ActionLog {
   /// per replica into a pop/push on this vector. Entries keep their last
   /// body until reuse (the move-assign there releases it); the pool is
   /// capped so a burst can't pin memory.
-  std::unique_ptr<StoredAction> alloc_stored();
+  std::unique_ptr<StoredAction> alloc_stored(Action&& body);
   void recycle(std::unique_ptr<StoredAction> p);
   std::vector<std::unique_ptr<StoredAction>> pool_;
 
@@ -206,7 +244,7 @@ class ActionLog {
   /// Keyed by pack_action_id; probed per retransmission, never iterated in
   /// a determinism-relevant order.
   util::FlatMap64<Action> red_waiting_;
-  /// Bodies (red + untrimmed green), keyed by pack_action_id.
+  /// Red bodies not yet green, keyed by pack_action_id.
   util::FlatMap64<std::unique_ptr<StoredAction>> store_;
 };
 

@@ -139,6 +139,9 @@ void ReplicaNode::handle_engine_left() {
   left_ = true;
   sim_.after(0, [this, alive = alive_] {
     if (!*alive) return;
+    // Peers still need our ACK of the leave action itself to deliver it
+    // safe in the regular configuration.
+    if (engine_) engine_->group_comm().flush_ack();
     engine_.reset();
     net_.set_group_active(id_, false);
   });

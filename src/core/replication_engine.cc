@@ -341,9 +341,10 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
     // wire, and a sync callback that fits SmallFn's inline slot — the whole
     // persist pipeline allocates only the wire buffer itself.
     const Action& a = actions.front();
-    const Bytes& body = encoded_body(a);
-    ongoing_[pack_action_id(a.id)] = body;
-    storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
+    const SharedBytes& enc = encoded_body(a);
+    const std::span<const std::uint8_t> body = enc.view();
+    ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
+    storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), enc);
     Bytes wire;
     wire.reserve(1 + body.size());
     wire.push_back(static_cast<std::uint8_t>(EngineMsgType::kAction));
@@ -373,9 +374,10 @@ void ReplicationEngine::persist_and_send(std::vector<Action> actions) {
   } else {
     wires.reserve(actions.size());
     for (const Action& a : actions) {
-      const Bytes& body = encoded_body(a);
-      ongoing_[pack_action_id(a.id)] = body;
-      storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), body);
+      const SharedBytes& enc = encoded_body(a);
+      const std::span<const std::uint8_t> body = enc.view();
+      ongoing_[pack_action_id(a.id)].assign(body.begin(), body.end());
+      storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kOngoing), enc);
       Bytes wire;
       wire.reserve(1 + body.size());
       wire.push_back(static_cast<std::uint8_t>(EngineMsgType::kAction));
@@ -581,19 +583,25 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   const auto type = static_cast<EngineMsgType>(r.u8());
   switch (type) {
     case EngineMsgType::kAction: {
-      Action a = Action::decode(r);
+      Action::decode_into(r, delivered_);
       // The wire payload is [type][body] where [body] is the canonical
-      // Action encoding; seed the body-encode cache with those bytes so the
-      // red/green log appends this action triggers skip re-encoding it.
-      enc_body_.assign(d.payload.begin() + 1, d.payload.end());
-      enc_body_id_ = a.id;
-      handle_action(std::move(a));
+      // Action encoding: the red/green log records reuse those bytes, and
+      // the log may keep them (shared with every member) as the body.
+      const std::span<const std::uint8_t> body = d.payload.subspan(1);
+      enc_body_ = SharedBytes{d.buffer, static_cast<std::uint32_t>(body.data() - d.buffer->data()),
+                              static_cast<std::uint32_t>(body.size())};
+      enc_body_id_ = delivered_.id;
+      handle_action(delivered_, enc_body_);
+      // Drop the memo's reference while the wire is still hot in cache.
+      enc_body_ = SharedBytes{};
+      enc_body_id_ = ActionId{};
       break;
     }
     case EngineMsgType::kActionBatch: {
       // A batch shares one delivery (and therefore one color decision);
-      // members process its actions in batch order.
-      for (Action& a : decode_action_batch(r)) handle_action(std::move(a));
+      // members process its actions in batch order. Batched actions have no
+      // encoding of their own, so the log stores them decoded.
+      for (Action& a : decode_action_batch(r)) handle_action(a, SharedBytes{});
       break;
     }
     case EngineMsgType::kState:
@@ -623,14 +631,18 @@ void ReplicationEngine::on_deliver(const gc::Delivery& d) {
   }
 }
 
-void ReplicationEngine::handle_action(Action&& a) {
+void ReplicationEngine::handle_action(Action& a, SharedBytes enc) {
   switch (state_) {
     case EngineState::kRegPrim: {
       // A.2 (OR-1.1): safe delivery in the primary's regular configuration
       // determines the global order immediately.
       const NodeId creator = a.id.server_id;
       const std::int64_t line = a.green_line;
-      mark_green(std::move(a));
+      if (enc.buf != nullptr) {
+        mark_green(a, std::move(enc));
+      } else {
+        mark_green(std::move(a));
+      }
       green_lines_.raise(creator, line);
       trim_white();
       break;
@@ -1115,7 +1127,7 @@ void ReplicationEngine::mark_red(Action&& a) {
   for (const Action* r : log_.mark_red(std::move(a))) on_newly_red(*r);
 }
 
-void ReplicationEngine::append_log_green(std::int64_t position, const Bytes& body) {
+void ReplicationEngine::append_log_green(std::int64_t position, const SharedBytes& body) {
   // [kGreen][i64 LE position][body] — byte-identical to
   // encode_log_green(position, body) without materializing the record.
   std::uint8_t hdr[9];
@@ -1126,11 +1138,11 @@ void ReplicationEngine::append_log_green(std::int64_t position, const Bytes& bod
   storage_.append_framed(hdr, sizeof(hdr), body);
 }
 
-const Bytes& ReplicationEngine::encoded_body(const Action& a) {
+const SharedBytes& ReplicationEngine::encoded_body(const Action& a) {
   // An ActionId names one immutable action for the lifetime of the system
   // (the protocol's core invariant), so a cached body can never be stale.
   if (!(enc_body_id_ == a.id)) {
-    enc_body_ = encode_action_body(a);
+    enc_body_ = SharedBytes::own(encode_action_body(a));
     enc_body_id_ = a.id;
   }
   return enc_body_;
@@ -1144,34 +1156,22 @@ void ReplicationEngine::mark_yellow(const Action& a) {
   }
 }
 
-void ReplicationEngine::mark_green(const Action& a) {
-  const ActionLog::GreenResult res = log_.mark_green(a);
-  for (const Action* r : res.newly_red) on_newly_red(*r);
-  if (res.position == 0) return;  // duplicate: already green
-  green_lines_.set(id_, log_.green_count());
-  maybe_arm_announce();
-  append_log_green(res.position, encoded_body(a));
-  ++stats_.actions_green;
-  if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, a.id, res.position);
-  if (metric_green_ != nullptr) metric_green_->inc();
-  if (green_latency_hist_ != nullptr) {
-    const std::uint64_t key = pack_action_id(a.id);
-    if (const SimTime* t = submit_times_.find(key)) {
-      green_latency_hist_->record((sim_.now() - *t) / 1000000);  // ns -> ms
-      submit_times_.erase(key);
-    }
-  }
-  apply_green(a);
-  maybe_compact();
-}
+void ReplicationEngine::mark_green(const Action& a) { finish_green(a.id, log_.mark_green(a)); }
 
 void ReplicationEngine::mark_green(Action&& a) {
   const ActionId aid = a.id;
-  const ActionLog::GreenResult res = log_.mark_green(std::move(a));
+  finish_green(aid, log_.mark_green(std::move(a)));
+}
+
+void ReplicationEngine::mark_green(const Action& a, SharedBytes enc) {
+  finish_green(a.id, log_.mark_green(a, std::move(enc)));
+}
+
+void ReplicationEngine::finish_green(const ActionId& aid, const ActionLog::GreenResult& res) {
   for (const Action* r : res.newly_red) on_newly_red(*r);
   if (res.position == 0) return;  // duplicate: already green
-  // A newly-green action always has its body in the log store; the result
-  // carries the stored pointer, versus the deep copy the lvalue path pays.
+  // The result carries the green body: the log's copy, or on the encoded
+  // path the caller's action itself.
   const Action& g = res.body != nullptr ? *res.body : *log_.body_of(aid);
   green_lines_.set(id_, log_.green_count());
   maybe_arm_announce();

@@ -284,7 +284,10 @@ class ReplicationEngine {
   void on_regular_config(const gc::Configuration& conf);
   void on_transitional_config(const gc::Configuration& conf);
   void on_deliver(const gc::Delivery& d);
-  void handle_action(Action&& a);  ///< consumes the body into the log
+  /// Apply the coloring rules to a delivered action. With `enc` (its
+  /// encoding, shared with the gc buffer) the log may keep that and leave
+  /// `a` as it is; without one (a batched action) `a` may move into the log.
+  void handle_action(Action& a, SharedBytes enc);
   void handle_state_msg(const StateMessage& s);
   void handle_cpc(const CpcMessage& c);
   void handle_green_retrans(std::int64_t position, const Action& a);
@@ -318,7 +321,10 @@ class ReplicationEngine {
   void mark_red(Action&& a);                   // A.14 (hot path: moves body)
   void mark_yellow(const Action& a);           // A.14
   void mark_green(const Action& a);            // A.14 + CodeSegment 5.1
-  void mark_green(Action&& a);                 // hot path: moves body
+  void mark_green(Action&& a);                 // moves the body into the log
+  void mark_green(const Action& a, SharedBytes enc);  // hot path: keeps `enc`
+  /// The common tail of the mark_green forms.
+  void finish_green(const ActionId& aid, const ActionLog::GreenResult& res);
   void apply_green(const Action& a);
   void on_join_green(const Action& a);         // 5.1 lines 5-10
   void on_leave_green(const Action& a);        // 5.1 lines 11-13
@@ -334,10 +340,10 @@ class ReplicationEngine {
   void persist_and_send(std::vector<Action> actions);
   void on_newly_red(const Action& a);
   /// Encoded body of `a`, memoized for the immediately-repeated case (the
-  /// red and green log records of one action encode the same body twice).
-  const Bytes& encoded_body(const Action& a);
-  /// Append a green log record framed in place (hot: one per green action).
-  void append_log_green(std::int64_t position, const Bytes& body);
+  /// ongoing/red/green log records of one action all frame the same body).
+  const SharedBytes& encoded_body(const Action& a);
+  /// Append a green log record (hot: one per green action).
+  void append_log_green(std::int64_t position, const SharedBytes& body);
   bool is_green(const ActionId& id) const { return log_.is_green(id); }
   MetaRecord current_meta() const;
   void append_meta();
@@ -388,8 +394,13 @@ class ReplicationEngine {
   // Coloring bookkeeping: the colored-action history lives in the
   // ActionLog subsystem; the engine keeps only cluster-knowledge state.
   ActionLog log_;
-  ActionId enc_body_id_;  ///< id cached in enc_body_ (kNoNode: none)
-  Bytes enc_body_;
+  /// encoded_body()'s memo: the encoding of action enc_body_id_ (kNoNode:
+  /// none). For a delivered action it is a slice of the delivered wire.
+  ActionId enc_body_id_;
+  SharedBytes enc_body_;
+  /// Scratch every delivered action is decoded into: reusing one object
+  /// keeps the per-delivery decode free of allocations.
+  Action delivered_;
   /// A: greenLines (as counts). Group-sized; the sorted vector keeps
   /// map_to_pairs-style wire encodings in creator order for free. Every
   /// change to server_set_ must call green_lines_.invalidate().

@@ -119,15 +119,23 @@ std::size_t Command::wire_size() const {
 
 Command Command::decode(BufReader& r) {
   Command c;
-  c.ops = r.vec<Op>([](BufReader& r2) {
-    Op op;
-    op.type = static_cast<OpType>(r2.u8());
-    op.key = r2.str();
-    op.value = r2.str();
-    op.num = r2.i64();
-    return op;
-  });
+  decode_into(r, c);
   return c;
+}
+
+void Command::decode_into(BufReader& r, Command& c) {
+  const std::uint32_t n = r.u32();
+  // Grown one op at a time, so a corrupt count fails on the first missing
+  // byte instead of reserving for it.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i == c.ops.size()) c.ops.emplace_back();
+    Op& op = c.ops[i];
+    op.type = static_cast<OpType>(r.u8());
+    r.str_into(op.key);
+    r.str_into(op.value);
+    op.num = r.i64();
+  }
+  c.ops.resize(n);
 }
 
 Command Command::put(std::string key, std::string value) {

@@ -73,6 +73,8 @@ struct Command {
 
   void encode(BufWriter& w) const;
   static Command decode(BufReader& r);
+  /// decode() into `c`, reusing its ops' storage.
+  static void decode_into(BufReader& r, Command& c);
   /// Size of encode()'s output, computed without encoding.
   std::size_t wire_size() const;
 

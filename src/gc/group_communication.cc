@@ -73,6 +73,24 @@ void GroupCommunication::multicast(Bytes payload, Service service) {
 }
 
 void GroupCommunication::send_data(const OutEntry& entry) {
+  if (is_sequencer()) {
+    // The sequencer orders its own multicast in place, on the next event
+    // at this instant, as a daemon picks a local message off its socket:
+    // no DATA to itself, and the caller (often a delivery callback) never
+    // re-enters ordering. A configuration change in between drops the
+    // event; run_install re-sends the entry.
+    const ConfigId cfg = config_.id;
+    const std::int64_t local_seq = entry.local_seq;
+    schedule(0, [this, cfg, local_seq] {
+      if (state_ != GcState::kOperational || !(config_.id == cfg) || outbox_.empty()) return;
+      // Outbox entries hold consecutive local sequence numbers.
+      const auto i = static_cast<std::size_t>(local_seq - outbox_.front().local_seq);
+      if (i >= outbox_.size()) return;
+      const OutEntry& e = outbox_[i];
+      order(id_, e.local_seq, e.service, e.payload.data(), e.payload.size());
+    });
+    return;
+  }
   // Frame the DATA wire directly from the outbox entry — byte-identical to
   // encode(DataMsg{...}) without staging the payload in a message struct.
   BufWriter w;
@@ -89,8 +107,14 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Byte
   BufReader r(*wire);
   const auto type = static_cast<MsgType>(r.u8());
   switch (type) {
-    case MsgType::kData: handle_data(from, r); break;
-    case MsgType::kOrdered: handle_ordered(r, wire); break;
+    case MsgType::kData:
+      ++stats_.data_received;
+      handle_data(from, r);
+      break;
+    case MsgType::kOrdered:
+      ++stats_.ordered_received;
+      handle_ordered(r, wire);
+      break;
     case MsgType::kAck:
       ++stats_.acks_received;
       handle_ack(from, decode_ack(r));
@@ -114,10 +138,9 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Byte
 
 void GroupCommunication::handle_data(NodeId from, BufReader& r) {
   (void)from;
-  // Decode the DATA header in place and, when sequencing, re-frame the
-  // payload bytes straight from the incoming wire into the ORDERED wire
-  // (same layout as encode(OrderedMsg{...})) — the payload is never
-  // materialized as a standalone buffer on this path.
+  // Decode the DATA header in place; the payload bytes are re-framed
+  // straight from the incoming wire into the ORDERED wire and never
+  // materialized as a standalone buffer.
   const ConfigId config = r.config_id();
   const NodeId origin = r.i32();
   const std::int64_t local_seq = r.i64();
@@ -125,6 +148,12 @@ void GroupCommunication::handle_data(NodeId from, BufReader& r) {
   if (state_ != GcState::kOperational || config != config_.id) return;  // sender resends
   if (!is_sequencer()) return;
   const auto [payload, payload_len] = r.bytes_view();
+  order(origin, local_seq, service, payload, payload_len);
+}
+
+void GroupCommunication::order(NodeId origin, std::int64_t local_seq, Service service,
+                               const std::uint8_t* payload, std::size_t len) {
+  // Same layout as encode(OrderedMsg{...}).
   BufWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kOrdered));
   w.config_id(config_.id);
@@ -132,9 +161,20 @@ void GroupCommunication::handle_data(NodeId from, BufReader& r) {
   w.i32(origin);
   w.i64(local_seq);
   w.u8(static_cast<std::uint8_t>(service));
-  w.bytes_view(payload, payload_len);
+  w.bytes_view(payload, len);
   ++stats_.messages_ordered;
-  send_all(config_.members, w.take());
+  auto wire = std::make_shared<const Bytes>(w.take());
+  net_.multicast(id_, others_, wire);
+  // The sequencer buffers the frame it sent instead of receiving it back
+  // over loopback. Storing it on a zero-delay event keeps deliveries out of
+  // the caller: run_install re-sends the outbox before it announces the new
+  // configuration. A configuration change in between drops the frame
+  // exactly as it would drop a late ORDERED packet.
+  schedule(0, [this, wire = std::move(wire)] {
+    BufReader r(*wire);
+    r.u8();  // kOrdered
+    handle_ordered(r, wire);
+  });
 }
 
 void GroupCommunication::handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
@@ -217,6 +257,10 @@ void GroupCommunication::reset_stability() {
   }
   assert(pos_of(id_) >= 0);
   self_pos_ = static_cast<std::size_t>(pos_of(id_));
+  others_.clear();
+  for (NodeId m : ms) {
+    if (m != id_) others_.push_back(m);
+  }
   cluster_begin_ = self_pos_ - self_pos_ % kAckCluster;
   cluster_contig_.assign(std::min(kAckCluster, ms.size() - cluster_begin_), 0);
   cluster_line_.assign((ms.size() + kAckCluster - 1) / kAckCluster, 0);
@@ -293,7 +337,7 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
   }
   if (listener_.on_deliver) {
     Delivery d{m.origin, config_.id, seq, kind,
-               std::span<const std::uint8_t>(m.payload_data(), m.payload_size())};
+               std::span<const std::uint8_t>(m.payload_data(), m.payload_size()), m.buf};
     listener_.on_deliver(d);
   }
 }
@@ -307,21 +351,29 @@ void GroupCommunication::schedule_ack() {
   schedule(fire - sim_.now(), [this, cfg] {
     ack_scheduled_ = false;
     if (state_ != GcState::kOperational || !(config_.id == cfg)) return;
-    if (recv_contig_ == last_acked_value_) return;
-    last_ack_sent_ = sim_.now();
-    last_acked_value_ = recv_contig_;
-    // Acknowledgements go to every cluster peer directly (one hardware
-    // multicast), so safe delivery within a cluster costs three one-way
-    // hops (DATA, ORDERED, ACK) rather than four — the difference matters
-    // on wide-area links. Other clusters learn it from the leader's STABLE.
-    Bytes wire = encode(AckMsg{config_.id, recv_contig_});
-    std::vector<NodeId> peers;
-    peers.reserve(cluster_contig_.size());
-    for (std::size_t i = cluster_begin_; i < cluster_begin_ + cluster_contig_.size(); ++i) {
-      if (i != self_pos_) peers.push_back(config_.members[i]);
-    }
-    send_all(peers, std::move(wire));
+    send_ack();
   });
+}
+
+void GroupCommunication::flush_ack() {
+  if (state_ == GcState::kOperational) send_ack();
+}
+
+void GroupCommunication::send_ack() {
+  if (recv_contig_ == last_acked_value_ || cluster_contig_.size() < 2) return;
+  last_ack_sent_ = sim_.now();
+  last_acked_value_ = recv_contig_;
+  // Acknowledgements go to every cluster peer directly (one hardware
+  // multicast), so safe delivery within a cluster costs three one-way
+  // hops (DATA, ORDERED, ACK) rather than four — the difference matters
+  // on wide-area links. Other clusters learn it from the leader's STABLE.
+  Bytes wire = encode(AckMsg{config_.id, recv_contig_});
+  std::vector<NodeId> peers;
+  peers.reserve(cluster_contig_.size());
+  for (std::size_t i = cluster_begin_; i < cluster_begin_ + cluster_contig_.size(); ++i) {
+    if (i != self_pos_) peers.push_back(config_.members[i]);
+  }
+  send_all(peers, std::move(wire));
 }
 
 void GroupCommunication::schedule_stable() {

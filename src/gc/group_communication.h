@@ -5,7 +5,11 @@
 //
 //   data path     : senders forward payloads to the configuration's
 //                   *sequencer* (lowest member id), which assigns the global
-//                   sequence and multicasts ORDERED messages. Stability is
+//                   sequence and multicasts ORDERED messages to the other
+//                   members. The sequencer's own data path stays in place:
+//                   it orders its own multicasts without sending itself
+//                   DATA and buffers the ORDERED frames it sends instead of
+//                   receiving them back (DESIGN.md §1.2). Stability is
 //                   aggregated in two levels. The sorted members split into
 //                   *ack clusters* of 16 consecutive positions; members
 //                   multicast coalesced ACKs of their contiguous prefix to
@@ -84,6 +88,8 @@ struct GcStats {
   std::uint64_t gathers_started = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t resent_after_install = 0;
+  std::uint64_t data_received = 0;     ///< DATA packets (sequencer role)
+  std::uint64_t ordered_received = 0;  ///< ORDERED packets from the sequencer
   std::uint64_t acks_received = 0;     ///< ACK packets from cluster peers
   std::uint64_t stables_received = 0;  ///< STABLE packets from other clusters' leaders
 };
@@ -111,6 +117,12 @@ class GroupCommunication {
   /// recoveries and feed back as initial_config_counter).
   std::int64_t max_counter_seen() const { return counter_floor_; }
   const GcStats& stats() const { return stats_; }
+
+  /// Send the coalesced ACK now if one is pending. A member about to be
+  /// torn down while still connected (a graceful leave) calls this, or its
+  /// peers would never learn it received the messages it delivered last
+  /// and would deliver them transitional instead of safe.
+  void flush_ack();
 
  private:
   enum class GcState { kOperational, kGathering };
@@ -165,12 +177,19 @@ class GroupCommunication {
   std::int64_t safe_line() const;
   void after_contig_advance();
   void schedule_ack();
+  void send_ack();  ///< multicast recv_contig_ to the cluster peers if it advanced
   /// Leader only: announce the cluster's minimum if it advanced.
   void schedule_stable();
   std::int64_t cluster_min() const;
   /// Rebuild the member index and stability knowledge for config_.
   void reset_stability();
+  /// Send a local multicast: DATA to the sequencer, or, on the sequencer,
+  /// order it in place.
   void send_data(const OutEntry& entry);
+  /// Sequencer only: assign the next sequence number, multicast the ORDERED
+  /// frame to the other members and buffer the same frame locally.
+  void order(NodeId origin, std::int64_t local_seq, Service service,
+             const std::uint8_t* payload, std::size_t len);
   bool is_sequencer() const { return !config_.members.empty() && config_.members.front() == id_; }
 
   // --- membership (flush) ----------------------------------------------
@@ -224,6 +243,8 @@ class GroupCommunication {
   NodeId member_base_ = 0;
   std::int32_t pos_of(NodeId m) const;  ///< position in config_.members, or -1
   std::size_t self_pos_ = 0;
+  /// config_.members without this node: the sequencer's ORDERED recipients.
+  std::vector<NodeId> others_;
   /// Own cluster's contig knowledge, indexed by position - cluster_begin_;
   /// the own slot tracks recv_contig_.
   std::vector<std::int64_t> cluster_contig_;

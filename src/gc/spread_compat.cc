@@ -42,6 +42,7 @@ void SpreadMailbox::join() {
 void SpreadMailbox::leave() {
   if (!gc_) return;
   config_counter_ = gc_->max_counter_seen();
+  gc_->flush_ack();  // peers must learn what we received to deliver it safe
   gc_.reset();
   net_.set_group_active(node_, false);
 }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,6 +69,9 @@ struct Delivery {
   /// wire, and deliveries run once per member per message, so the deep copy
   /// this avoids was the group's largest per-message allocation.
   std::span<const std::uint8_t> payload;
+  /// The shared buffer `payload` is a slice of (borrowed like `payload`):
+  /// copy it to retain the payload without copying the bytes.
+  const std::shared_ptr<const Bytes>& buffer;
 };
 
 /// Callbacks the application (the replication engine) installs. The layer

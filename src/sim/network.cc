@@ -248,18 +248,21 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to, const Bytes&
 
 void Network::multicast(NodeId from, const std::vector<NodeId>& to, Bytes&& payload,
                         Channel channel) {
+  multicast(from, to, std::make_shared<const Bytes>(std::move(payload)), channel);
+}
+
+void Network::multicast(NodeId from, const std::vector<NodeId>& to,
+                        std::shared_ptr<const Bytes> p, Channel channel) {
   // Models LAN hardware multicast (what Spread uses): the sender pays the
   // send cost once and the wire fans out; receivers each pay receive costs.
+  // One refcounted buffer is shared by every recipient's delivery event.
   const std::size_t fi = idx(from);
   NodeState& src = states_[fi];
   if (!src.up) return;
   charge(from, params_.send_per_message);
   NetworkStats& st = lstats();
   ++st.messages_sent;
-  st.bytes_sent += payload.size();
-
-  // One refcounted buffer shared by every recipient's delivery event.
-  auto p = std::make_shared<const Bytes>(std::move(payload));
+  st.bytes_sent += p->size();
 
   // One WAN copy per remote site, not per remote target.
   std::map<int, SimDuration> site_serialization;

@@ -167,6 +167,10 @@ class Network {
                  Channel channel = Channel::kGc);
   void multicast(NodeId from, const std::vector<NodeId>& to, const Bytes& payload,
                  Channel channel = Channel::kGc);
+  /// Multicast a buffer the sender also keeps (the gc sequencer buffers
+  /// the ORDERED frame it sends): no copy, the wire is shared.
+  void multicast(NodeId from, const std::vector<NodeId>& to, std::shared_ptr<const Bytes> payload,
+                 Channel channel = Channel::kGc);
 
   /// Partition the network into the given components. Every registered node
   /// must appear in exactly one component.

@@ -9,20 +9,23 @@ namespace tordb {
 StableStorage::StableStorage(Simulator& sim, StorageParams params)
     : sim_(sim), params_(params) {}
 
-std::size_t StableStorage::append(Bytes record) {
+std::size_t StableStorage::push(Record r) {
   ++stats_.appends;
-  offsets_.push_back(arena_.size());
-  arena_.insert(arena_.end(), record.begin(), record.end());
-  return offsets_.size() - 1;
+  records_.push_back(std::move(r));
+  return records_.size() - 1;
+}
+
+std::size_t StableStorage::append(Bytes record) {
+  return push(Record{SharedBytes::own(std::move(record))});
 }
 
 std::size_t StableStorage::append_framed(const std::uint8_t* header, std::size_t header_len,
-                                         const Bytes& body) {
-  ++stats_.appends;
-  offsets_.push_back(arena_.size());
-  arena_.insert(arena_.end(), header, header + header_len);
-  arena_.insert(arena_.end(), body.begin(), body.end());
-  return offsets_.size() - 1;
+                                         SharedBytes body) {
+  if (header_len > kMaxHeader) throw std::invalid_argument("record header too long");
+  Record r{std::move(body)};
+  r.head_len = static_cast<std::uint8_t>(header_len);
+  std::copy(header, header + header_len, r.head);
+  return push(std::move(r));
 }
 
 void StableStorage::sync(SyncCallback done) {
@@ -33,12 +36,12 @@ void StableStorage::sync(SyncCallback done) {
     start_force_if_needed();
     return;
   }
-  if (durable_ >= offsets_.size()) {
+  if (durable_ >= records_.size()) {
     // Nothing new to force; complete as soon as the loop turns.
     sim_.after(0, std::move(done));
     return;
   }
-  pending_.push_back(PendingSync{offsets_.size(), std::move(done)});
+  pending_.push_back(PendingSync{records_.size(), std::move(done)});
   if (force_in_flight_) return;  // will batch onto the next force
   if (params_.commit_window > 0 && !window_armed_) {
     window_armed_ = true;
@@ -54,10 +57,10 @@ void StableStorage::sync(SyncCallback done) {
 }
 
 void StableStorage::start_force_if_needed() {
-  if (force_in_flight_ || durable_ == offsets_.size()) return;
+  if (force_in_flight_ || durable_ == records_.size()) return;
   force_in_flight_ = true;
   ++stats_.forces;
-  inflight_covered_ = offsets_.size();
+  inflight_covered_ = records_.size();
   const std::uint64_t epoch = epoch_;
   sim_.after(params_.force_latency, [this, epoch] { force_completed(epoch); });
 }
@@ -92,19 +95,18 @@ void StableStorage::crash() {
   ++epoch_;
   force_in_flight_ = false;
   pending_.clear();
-  stats_.records_lost_in_crash += offsets_.size() - durable_;
-  if (durable_ < offsets_.size()) {
-    arena_.resize(offsets_[durable_]);
-    offsets_.resize(durable_);
-  }
+  stats_.records_lost_in_crash += records_.size() - durable_;
+  records_.resize(durable_);
 }
 
 std::vector<Bytes> StableStorage::recover_records() const {
   std::vector<Bytes> records;
   records.reserve(durable_);
   for (std::size_t i = 0; i < durable_; ++i) {
-    records.emplace_back(arena_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
-                         arena_.begin() + static_cast<std::ptrdiff_t>(record_end(i)));
+    const Record& rec = records_[i];
+    const std::span<const std::uint8_t> body = rec.body.view();
+    Bytes& out = records.emplace_back(rec.head, rec.head + rec.head_len);
+    out.insert(out.end(), body.begin(), body.end());
   }
   return records;
 }
@@ -112,20 +114,9 @@ std::vector<Bytes> StableStorage::recover_records() const {
 void StableStorage::compact(std::size_t upto, Bytes snapshot_record) {
   if (upto > durable_) throw std::logic_error("cannot compact non-durable records");
   if (upto == 0) return;
-  // Rebuild the arena as [snapshot][surviving tail] and re-base offsets.
-  const std::size_t tail_start = upto < offsets_.size() ? offsets_[upto] : arena_.size();
-  Bytes next;
-  next.reserve(snapshot_record.size() + arena_.size() - tail_start);
-  next.insert(next.end(), snapshot_record.begin(), snapshot_record.end());
-  next.insert(next.end(), arena_.begin() + static_cast<std::ptrdiff_t>(tail_start), arena_.end());
-  std::vector<std::size_t> next_offsets;
-  next_offsets.reserve(offsets_.size() - upto + 1);
-  next_offsets.push_back(0);
-  for (std::size_t i = upto; i < offsets_.size(); ++i) {
-    next_offsets.push_back(offsets_[i] - tail_start + snapshot_record.size());
-  }
-  arena_ = std::move(next);
-  offsets_ = std::move(next_offsets);
+  // Replace records [0, upto) with the snapshot record.
+  records_[upto - 1] = Record{SharedBytes::own(std::move(snapshot_record))};
+  records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(upto - 1));
   durable_ = durable_ - upto + 1;
   // Re-base bookkeeping that referenced pre-compaction record counts.
   const std::size_t shrink = upto - 1;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "obs/trace.h"
@@ -63,15 +64,17 @@ class StableStorage {
   /// Append one record to the volatile tail. Returns its index.
   std::size_t append(Bytes record);
 
-  /// Append one record framed as [header][body] straight into the arena,
-  /// skipping the intermediate record buffer the hot log paths (red /
-  /// green / ongoing, one record per action per replica) used to build
-  /// and throw away. Byte-identical to append(header + body).
+  /// Append one record framed as [header][body] without copying the body:
+  /// the record keeps a reference to it. The hot log paths (red / green /
+  /// ongoing, one record per action per replica) all frame the same action
+  /// encoding, which every member of a group shares. Recovers exactly as
+  /// append(header + body). `header_len` is at most kMaxHeader.
   std::size_t append_framed(const std::uint8_t* header, std::size_t header_len,
-                            const Bytes& body);
-  std::size_t append_framed(std::uint8_t type, const Bytes& body) {
-    return append_framed(&type, 1, body);
+                            SharedBytes body);
+  std::size_t append_framed(std::uint8_t type, SharedBytes body) {
+    return append_framed(&type, 1, std::move(body));
   }
+  static constexpr std::size_t kMaxHeader = 15;
 
   /// Request that everything appended so far become durable. `done` fires
   /// when it is (forced mode) or immediately (delayed mode).
@@ -87,9 +90,9 @@ class StableStorage {
   /// Models log compaction; only durable data may be compacted.
   void compact(std::size_t upto, Bytes snapshot_record);
 
-  std::size_t log_size() const { return offsets_.size(); }
+  std::size_t log_size() const { return records_.size(); }
   std::size_t durable_size() const { return durable_; }
-  bool fully_durable() const { return durable_ == offsets_.size(); }
+  bool fully_durable() const { return durable_ == records_.size(); }
 
   const StorageStats& stats() const { return stats_; }
   StorageParams& params() { return params_; }
@@ -100,21 +103,22 @@ class StableStorage {
     SyncCallback done;
   };
 
+  /// One record: a short inline header followed by a shared body. Records
+  /// are written once and read back only at recovery, so a record holds a
+  /// reference to its body instead of a copy.
+  struct Record {
+    SharedBytes body;
+    std::uint8_t head_len = 0;
+    std::uint8_t head[kMaxHeader] = {};
+  };
+
+  std::size_t push(Record r);
   void start_force_if_needed();
   void force_completed(std::uint64_t epoch);
-  /// One past the last byte of record `i` in the arena.
-  std::size_t record_end(std::size_t i) const {
-    return i + 1 < offsets_.size() ? offsets_[i + 1] : arena_.size();
-  }
 
   Simulator& sim_;
   StorageParams params_;
-  /// Append-only record storage: one contiguous arena plus per-record start
-  /// offsets. Records are written once and read back only at recovery, so
-  /// per-record buffers bought nothing but allocator traffic and teardown
-  /// cost at scale.
-  Bytes arena_;
-  std::vector<std::size_t> offsets_;
+  std::vector<Record> records_;
   std::size_t durable_ = 0;
   bool force_in_flight_ = false;
   bool window_armed_ = false;         ///< group-commit window timer pending

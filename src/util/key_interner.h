@@ -13,11 +13,17 @@
 //
 // The index is a power-of-two open-addressing table (FNV-1a, linear
 // probing) holding id+1; key bodies live in a deque so `key(id)` views stay
-// stable across growth. Interned keys are never freed — the table is
-// bounded by the key universe, not the live row count.
+// stable across growth. Each slot also holds the key's length and first
+// 8 bytes, so a probe reads one slot and nothing else for short keys and
+// rejects most mismatches without touching the deque: with one table per
+// replica, those extra reads were cache misses on every applied op.
+// Interned keys are never freed — the table is bounded by the key
+// universe, not the live row count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <string_view>
@@ -37,15 +43,14 @@ class KeyInterner {
   KeyId intern(std::string_view key) {
     if (slots_.empty()) grow(kInitialSlots);
     std::size_t i = probe_start(key);
-    while (slots_[i] != 0) {
-      const KeyId id = slots_[i] - 1;
-      if (keys_[id] == key) return id;
+    while (slots_[i].id1 != 0) {
+      if (matches(slots_[i], key)) return slots_[i].id1 - 1;
       i = (i + 1) & (slots_.size() - 1);
     }
     const KeyId id = static_cast<KeyId>(keys_.size());
     keys_.emplace_back(key);
     bytes_ += key.size();
-    slots_[i] = id + 1;
+    fill(slots_[i], id, key);
     // Grow at 3/4 load so probe chains stay short.
     if ((keys_.size() + 1) * 4 > slots_.size() * 3) grow(slots_.size() * 2);
     return id;
@@ -55,9 +60,8 @@ class KeyInterner {
   KeyId find(std::string_view key) const {
     if (slots_.empty()) return kNoKeyId;
     std::size_t i = probe_start(key);
-    while (slots_[i] != 0) {
-      const KeyId id = slots_[i] - 1;
-      if (keys_[id] == key) return id;
+    while (slots_[i].id1 != 0) {
+      if (matches(slots_[i], key)) return slots_[i].id1 - 1;
       i = (i + 1) & (slots_.size() - 1);
     }
     return kNoKeyId;
@@ -83,6 +87,27 @@ class KeyInterner {
 
  private:
   static constexpr std::size_t kInitialSlots = 64;
+  static constexpr std::size_t kHead = 8;
+
+  struct Slot {
+    KeyId id1 = 0;          ///< id + 1; 0 = empty
+    std::uint32_t len = 0;  ///< key length
+    char head[kHead] = {};  ///< first kHead key bytes (zero-filled)
+  };
+
+  bool matches(const Slot& s, std::string_view key) const {
+    if (s.len != key.size() ||
+        (!key.empty() && std::memcmp(s.head, key.data(), std::min(key.size(), kHead)) != 0)) {
+      return false;
+    }
+    return key.size() <= kHead || keys_[s.id1 - 1] == key;
+  }
+
+  static void fill(Slot& s, KeyId id, std::string_view key) {
+    s.id1 = id + 1;
+    s.len = static_cast<std::uint32_t>(key.size());
+    if (!key.empty()) std::memcpy(s.head, key.data(), std::min(key.size(), kHead));
+  }
 
   static std::uint64_t hash(std::string_view s) {
     std::uint64_t h = 1469598103934665603ull;
@@ -98,17 +123,17 @@ class KeyInterner {
   }
 
   void grow(std::size_t new_slots) {
-    slots_.assign(new_slots, 0);
+    slots_.assign(new_slots, Slot{});
     if (!keys_.empty()) ++rehashes_;
     for (KeyId id = 0; id < keys_.size(); ++id) {
       std::size_t i = probe_start(keys_[id]);
-      while (slots_[i] != 0) i = (i + 1) & (new_slots - 1);
-      slots_[i] = id + 1;
+      while (slots_[i].id1 != 0) i = (i + 1) & (new_slots - 1);
+      fill(slots_[i], id, keys_[id]);
     }
   }
 
-  std::deque<std::string> keys_;      ///< id -> key; deque keeps views stable
-  std::vector<std::uint32_t> slots_;  ///< id + 1; 0 = empty; power-of-two size
+  std::deque<std::string> keys_;  ///< id -> key; deque keeps views stable
+  std::vector<Slot> slots_;       ///< power-of-two size
   std::uint64_t bytes_ = 0;
   std::uint64_t rehashes_ = 0;
 };

@@ -10,6 +10,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -25,6 +27,25 @@ class SerdeError : public std::runtime_error {
 };
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A slice of a shared, immutable buffer. Retaining one costs a reference,
+/// not a copy: the gc's ORDERED wire is shared by every member of a group,
+/// and an action's log records and stored body can all point into it.
+struct SharedBytes {
+  std::shared_ptr<const Bytes> buf;
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+
+  /// A slice covering all of `b`.
+  static SharedBytes own(Bytes b) {
+    const auto n = static_cast<std::uint32_t>(b.size());
+    return SharedBytes{std::make_shared<const Bytes>(std::move(b)), 0, n};
+  }
+  std::span<const std::uint8_t> view() const {
+    return buf ? std::span<const std::uint8_t>(buf->data() + off, len)
+               : std::span<const std::uint8_t>();
+  }
+};
 
 class BufWriter {
  public:
@@ -126,6 +147,14 @@ class BufReader {
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
+  }
+
+  /// str() into an existing string, reusing its capacity.
+  void str_into(std::string& s) {
+    const std::uint32_t n = u32();
+    need(n);
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
   }
 
   Bytes bytes() {

@@ -178,6 +178,43 @@ TEST(ActionLog, AdoptGreenPrefixReleasesCoveredBodies) {
   EXPECT_NE(log.body_of(ActionId{1, 3}), nullptr);
 }
 
+TEST(ActionLog, GreenBodyKeptAsSharedEncoding) {
+  // A creator's next action marked green with its encoding: the log keeps
+  // the shared slice (no copy), reports the caller's action as the newly
+  // red/green body, and decodes the slice again only when asked.
+  ActionLog log;
+  const Action a = mk(1, 1);
+  BufWriter w;
+  w.u8(0xee);  // the slice need not start the buffer
+  a.encode(w);
+  const SharedBytes enc = SharedBytes::own(w.take());
+  const SharedBytes body{enc.buf, 1, enc.len - 1};
+  const auto res = log.mark_green(a, body);
+  EXPECT_EQ(res.position, 1);
+  ASSERT_EQ(res.newly_red.size(), 1u);
+  EXPECT_EQ(res.newly_red[0], &a);
+  EXPECT_EQ(res.body, &a);
+  EXPECT_EQ(enc.buf.use_count(), 3);  // enc, body and the log's entry
+  EXPECT_EQ(log.stored_bodies(), 1u);
+  EXPECT_EQ(log.body_bytes(), static_cast<std::int64_t>(a.wire_size()));
+  const Action* decoded = log.green_body_at(1);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->id, a.id);
+  EXPECT_EQ(decoded->update.ops, a.update.ops);
+  EXPECT_EQ(log.body_of(a.id), decoded);
+  EXPECT_EQ(log.position_of(a.id), 1);
+
+  // Out of creator order it falls back to a decoded copy.
+  const Action c = mk(1, 3);
+  EXPECT_EQ(log.mark_green(c, body).body->id, c.id);
+  EXPECT_EQ(log.green_count(), 2);
+
+  EXPECT_EQ(log.trim_white_to(2), 2u);
+  EXPECT_EQ(log.stored_bodies(), 0u);
+  EXPECT_EQ(log.body_bytes(), 0);
+  EXPECT_EQ(enc.buf.use_count(), 2);  // the log let go of the buffer
+}
+
 TEST(ActionLog, ResetAndReplayFromRecovery) {
   ActionLog log;
   log.mark_red(mk(9, 1));

@@ -30,6 +30,8 @@ struct StoredDelivery {
   std::int64_t seq = 0;
   DeliveryKind kind = DeliveryKind::kAgreed;
   Bytes payload;
+  /// A copy of `payload` for the converted Delivery's `buffer`.
+  std::shared_ptr<const Bytes> buffer = std::make_shared<const Bytes>();
 
   StoredDelivery() = default;
   StoredDelivery(const Delivery& d)  // NOLINT: implicit by design
@@ -37,9 +39,10 @@ struct StoredDelivery {
         config(d.config),
         seq(d.seq),
         kind(d.kind),
-        payload(d.payload.begin(), d.payload.end()) {}
+        payload(d.payload.begin(), d.payload.end()),
+        buffer(std::make_shared<const Bytes>(payload)) {}
   operator Delivery() const {  // NOLINT: implicit by design
-    return Delivery{sender, config, seq, kind, payload};
+    return Delivery{sender, config, seq, kind, *buffer, buffer};
   }
 };
 
@@ -105,6 +108,13 @@ class GcCluster {
     counters_[id] = gcs_.at(id)->max_counter_seen();  // "persisted" by harness
     gcs_.at(id).reset();
     records_.at(id).crashed = true;
+  }
+
+  /// Graceful departure: the node's gc is torn down while the node stays
+  /// up, and it leaves the group.
+  void leave(NodeId id) {
+    gcs_.at(id).reset();
+    net_.set_group_active(id, false);
   }
 
   void recover(NodeId id) {

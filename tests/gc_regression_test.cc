@@ -278,5 +278,114 @@ TEST(GcRegression, HundredMemberGroupReceivesClusteredStability) {
   c.check_all_invariants();
 }
 
+TEST(GcRegression, SequencerOrdersItsOwnTrafficInPlace) {
+  // The sequencer (node 0) neither sends itself DATA nor receives its own
+  // ORDERED back: per action, each other member receives exactly one
+  // ORDERED, the sequencer one DATA per action it did not originate, and
+  // the network delivers nothing else besides the stability traffic.
+  constexpr NodeId kNodes = 4;
+  GcCluster c(kNodes);
+  std::vector<NodeId> all;
+  for (NodeId n = 0; n < kNodes; ++n) all.push_back(n);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged(all));
+  std::vector<GcStats> before;
+  for (NodeId n : all) before.push_back(c.gc(n).stats());
+  const std::uint64_t delivered_before = c.net().stats().messages_delivered;
+
+  constexpr std::int64_t kRounds = 5;
+  for (std::int64_t k = 1; k <= kRounds; ++k) {
+    for (NodeId n : all) c.multicast(n, k);
+    c.run_for(millis(20));
+  }
+  const std::uint64_t actions = kRounds * kNodes;
+  std::uint64_t receipts = 0;
+  for (NodeId n : all) {
+    const GcStats& now = c.gc(n).stats();
+    const GcStats& was = before[static_cast<std::size_t>(n)];
+    EXPECT_EQ(now.safe_deliveries - was.safe_deliveries, actions) << "node " << n;
+    EXPECT_EQ(now.ordered_received - was.ordered_received, n == 0 ? 0 : actions) << "node " << n;
+    EXPECT_EQ(now.data_received - was.data_received, n == 0 ? actions - kRounds : 0)
+        << "node " << n;
+    receipts += (now.ordered_received - was.ordered_received) +
+                (now.data_received - was.data_received) +
+                (now.acks_received - was.acks_received) +
+                (now.stables_received - was.stables_received);
+  }
+  EXPECT_EQ(c.gc(0).stats().messages_ordered - before[0].messages_ordered, actions);
+  EXPECT_EQ(c.net().stats().messages_delivered - delivered_before, receipts);
+  c.check_all_invariants();
+}
+
+TEST(GcRegression, SequencerMulticastPendingAtGatherIsResentInOrder) {
+  // The sequencer orders its own multicast on the next event at the same
+  // instant. When a gather starts in between, that event finds the
+  // configuration gone; the entry stays in the outbox and is re-sent, in
+  // FIFO order behind the ones before it, in the next configuration.
+  GcCluster c(3);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged({0, 1, 2}));
+  const ConfigId old_config = c.gc(0).config().id;
+  // The multicasts are scheduled first, so they run before the membership
+  // notification the partition schedules for the same instant, and their
+  // ordering events run after it.
+  const SimTime at = c.sim().now() + c.net().params().detect_delay;
+  c.sim().at(at, [&c] {
+    for (std::int64_t k = 1; k <= 3; ++k) c.multicast(0, k);
+  });
+  c.net().set_components({{0, 1}, {2}});
+  c.run_for(seconds(1));
+  ASSERT_TRUE(c.converged({0, 1}));
+  EXPECT_GE(c.gc(0).stats().resent_after_install, 3u);
+  for (NodeId n : {0, 1}) {
+    std::vector<std::int64_t> got;
+    for (const auto& d : c.record(n).deliveries) {
+      const auto [sender, k] = parse_payload(d.payload);
+      if (sender != 0) continue;
+      EXPECT_FALSE(d.config == old_config) << "node " << n << " k" << k;
+      got.push_back(k);
+    }
+    EXPECT_EQ(got, (std::vector<std::int64_t>{1, 2, 3})) << "node " << n;
+  }
+  c.check_all_invariants();
+}
+
+TEST(GcRegression, LeaverFlushesItsAckBeforeTeardown) {
+  // A member torn down right after it delivered a message safe may still
+  // owe its ACK for it (coalesced, or here deferred behind a busy CPU).
+  // flush_ack sends it, so the remaining members deliver the message safe
+  // in the regular configuration rather than in the transitional one.
+  GcCluster c(3);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged({0, 1, 2}));
+  c.multicast(1, 1);
+  // Node 2 handles the ORDERED and both peers' ACKs in one burst after
+  // 2 ms, so its own ACK is still coalescing when it delivers.
+  c.net().charge(2, millis(2));
+  auto delivered = [&c] {
+    for (const auto& d : c.record(2).deliveries) {
+      if (parse_payload(d.payload) == std::make_pair(NodeId{1}, std::int64_t{1})) return true;
+    }
+    return false;
+  };
+  for (int step = 0; step < 10'000 && !delivered(); ++step) c.run_for(micros(1));
+  ASSERT_TRUE(delivered());
+  EXPECT_EQ(c.record(2).deliveries.back().kind, DeliveryKind::kSafeInRegular);
+  c.gc(2).flush_ack();
+  c.leave(2);
+  c.run_for(seconds(1));
+  ASSERT_TRUE(c.converged({0, 1}));
+  for (NodeId n : {0, 1}) {
+    bool safe = false;
+    for (const auto& d : c.record(n).deliveries) {
+      if (parse_payload(d.payload) == std::make_pair(NodeId{1}, std::int64_t{1})) {
+        safe = d.kind == DeliveryKind::kSafeInRegular;
+      }
+    }
+    EXPECT_TRUE(safe) << "node " << n << " did not deliver the message safe in regular";
+  }
+  c.check_all_invariants();
+}
+
 }  // namespace
 }  // namespace tordb::gc

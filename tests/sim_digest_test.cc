@@ -195,8 +195,12 @@ std::uint64_t single_group_churn_digest() {
 // while the sender's own actions carry it: fewer and smaller tokens move
 // virtual time by design. (The FIFO receive streams, the white-line cache,
 // the gc member index and the compaction cadence left all three unchanged.)
-constexpr std::uint64_t kShardedChurnGolden = 15296266254654507703ULL;
-constexpr std::uint64_t kSingleGroupChurnGolden = 5075421031922212507ULL;
+// Regenerated again when the gc sequencer began ordering its own multicasts
+// and buffering its own ORDERED frames in place instead of receiving them
+// over loopback: every sequencer's CPU time changes by design. (The shared
+// log records and green bodies and the interner slots left them unchanged.)
+constexpr std::uint64_t kShardedChurnGolden = 16968727710285053849ULL;
+constexpr std::uint64_t kSingleGroupChurnGolden = 1915923723227087318ULL;
 
 TEST(SimDigest, ShardedChurnMatchesGolden) {
   EXPECT_EQ(sharded_churn_digest(false), kShardedChurnGolden);
@@ -369,9 +373,9 @@ TEST(SimLanes, SerialVsParallelBitIdentical) {
 // Golden pin for the lane-mode schedule itself: guards cross-build
 // determinism of the window/handoff machinery the equivalence test can't
 // see (it compares runs within one build). Regenerate deliberately, like
-// the classic goldens above, when the lane model changes (last: own-line
-// announcements, as above).
-constexpr std::uint64_t kLaneChurnGolden = 4942017342674167981ULL;
+// the classic goldens above, when the lane model changes (last: in-place
+// sequencing, as above).
+constexpr std::uint64_t kLaneChurnGolden = 6522614134194782026ULL;
 
 TEST(SimLanes, LaneChurnMatchesGolden) {
   EXPECT_EQ(lane_churn_run(1, 0xb0b1ULL).state, kLaneChurnGolden);

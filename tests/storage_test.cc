@@ -147,6 +147,31 @@ TEST(Storage, CompactReplacesPrefixWithSnapshot) {
   EXPECT_EQ(records[1], rec(3));
 }
 
+TEST(Storage, FramedRecordsReferenceASharedBody) {
+  // append_framed keeps a reference to the body, not a copy, and recovers
+  // the record as header + body; the reference is released by compaction.
+  Simulator sim;
+  StableStorage st(sim, no_window());
+  const SharedBytes body = SharedBytes::own(Bytes{7, 8, 9});
+  const std::uint8_t hdr[2] = {1, 2};
+  st.append_framed(hdr, sizeof(hdr), SharedBytes{body.buf, 1, 2});
+  st.append_framed(std::uint8_t{3}, body);
+  EXPECT_EQ(body.buf.use_count(), 3);
+  EXPECT_THROW(st.append_framed(hdr, StableStorage::kMaxHeader + 1, body),
+               std::invalid_argument);
+  st.sync([] {});
+  sim.run();
+  auto records = st.recover_records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], (Bytes{1, 2, 8, 9}));
+  EXPECT_EQ(records[1], (Bytes{3, 7, 8, 9}));
+  st.compact(2, rec(99));
+  EXPECT_EQ(body.buf.use_count(), 1);
+  records = st.recover_records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], rec(99));
+}
+
 TEST(Storage, CompactNonDurableThrows) {
   Simulator sim;
   StableStorage st(sim, no_window());

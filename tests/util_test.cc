@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "util/key_interner.h"
 #include "util/rng.h"
 #include "util/serde.h"
 #include "util/types.h"
@@ -150,6 +152,28 @@ TEST(Serde, StringUnderrunThrows) {
   Bytes b = w.take();
   BufReader r(b);
   EXPECT_THROW(r.str(), SerdeError);
+}
+
+TEST(KeyInterner, KeysSharingTheSlotHeadStayDistinct) {
+  // Slots hold a key's length and first 8 bytes; keys that agree on both
+  // (or on the head only) must still get their own ids, across growth.
+  util::KeyInterner in;
+  const std::vector<std::string> keys = {"",          "a",         "abcdefgh",  "abcdefghX",
+                                         "abcdefghY", "abcdefgh1", "abcdefg",   "abcdefghXY",
+                                         "bbcdefgh",  "abcdefgi"};
+  std::vector<util::KeyId> ids;
+  for (const std::string& k : keys) ids.push_back(in.intern(k));
+  for (int i = 0; i < 500; ++i) in.intern("abcdefgh" + std::to_string(i));  // forces growth
+  EXPECT_GT(in.rehashes(), 0u);
+  std::set<util::KeyId> distinct(ids.begin(), ids.end());
+  EXPECT_EQ(distinct.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(in.find(keys[i]), ids[i]) << keys[i];
+    EXPECT_EQ(in.intern(keys[i]), ids[i]) << keys[i];
+    EXPECT_EQ(in.key(ids[i]), keys[i]);
+  }
+  EXPECT_EQ(in.find("abcdefghZ"), util::kNoKeyId);
+  EXPECT_EQ(in.find("abcdefgh1000"), util::kNoKeyId);
 }
 
 TEST(Zipf, Deterministic) {
