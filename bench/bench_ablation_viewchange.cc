@@ -48,7 +48,7 @@ int main() {
 
   // Metrics time series (src/obs) for one churning run: each partition/heal
   // cycle shows up as a cluster.exchanges step and a throughput dip in the
-  // cluster.actions_green column, recovering within a window or two.
+  // engine.actions_green column, recovering within a window or two.
   const SimDuration churn = seconds(1);
   const SimDuration window = millis(500);
   std::string table;

@@ -244,8 +244,8 @@ ThroughputPoint measure_throughput(Algorithm algorithm, int replicas, int client
 namespace {
 /// The counter columns benches print for engine time series.
 const std::vector<std::string> kWindowColumns = {
-    "cluster.actions_green", "cluster.primaries_installed", "storage.forces",
-    "gc.safe_deliveries",    "net.messages",
+    "engine.actions_green", "engine.primaries_installed", "storage.forces",
+    "gc.safe_deliveries",   "net.messages",
 };
 }  // namespace
 
@@ -260,8 +260,7 @@ ThroughputPoint measure_engine_throughput_windowed(bool delayed, int replicas, i
       run_throughput(dep, dep.cluster->sim(), delayed ? Algorithm::kEngineDelayed : Algorithm::kEngine,
                      replicas, clients, warmup, measure);
   if (window_table != nullptr && dep.cluster->metrics()) {
-    dep.cluster->sample_metrics();
-    dep.cluster->metrics()->roll(dep.cluster->sim().now());  // close the partial tail window
+    dep.cluster->roll_metrics();  // close the partial tail window
     *window_table += dep.cluster->metrics()->window_table(kWindowColumns);
   }
   return p;
@@ -366,8 +365,7 @@ ViewChangePoint measure_engine_under_view_changes(int replicas, int clients,
     p.persist_batch_actions += c.engine(i).stats().persist_batch_actions;
   }
   if (window_table != nullptr && c.metrics()) {
-    c.sample_metrics();
-    c.metrics()->roll(sim.now());  // close the partial tail window
+    c.roll_metrics();  // close the partial tail window
     std::vector<std::string> cols = kWindowColumns;
     cols.push_back("cluster.exchanges");
     *window_table += c.metrics()->window_table(cols);

@@ -2,12 +2,18 @@
 // shard of the key space) over ONE simulated network and ONE virtual clock,
 // fronted by a shard::Router (DESIGN.md §8).
 //
-// Each shard is a full engine group exactly as EngineCluster builds one —
-// its own EVS membership, quorum state and stable storage — and the engine
-// itself is untouched: isolation comes from Network::set_group scoping the
-// reachability service per shard, so the groups never see each other's
-// membership events while sharing the network's clock, latency model and
-// per-node CPU accounting.
+// Each shard is a full engine group built by the EngineCluster machinery
+// (cluster.h) — its own EVS membership, quorum state and stable storage —
+// and the engine itself is untouched: isolation comes from
+// Network::set_group scoping the reachability service per shard, so the
+// groups never see each other's membership events while sharing the
+// network's clock, latency model and per-node CPU accounting. Obs wiring,
+// the metrics window roll, per-group convergence, the three §5.2 invariants
+// per group and the deployment-wide sampler are the base class's; this
+// class adds only what is sharded: event lanes, the router, the transaction
+// coordinator, the rebalancer, shard-addressed topology controls and the
+// `shard.<id>.*` / `router.*` / `txn.*` / `directory.*` / `sim.lanes.*`
+// metric families.
 //
 // Node ids are global and contiguous: shard s owns ids
 // [s * replicas_per_shard, (s+1) * replicas_per_shard). Topology controls
@@ -17,9 +23,9 @@
 //
 // Determinism: the Simulator is seeded with the base seed — a 1-shard
 // ShardedCluster schedules events bit-identically to an EngineCluster of
-// the same seed and size. Per-shard workload seeds come from shard_seed(),
-// a splitmix64 derivation of (base seed, shard id), so shards drive
-// uncorrelated but reproducible load.
+// the same seed and size (sim_digest_test pins it). Per-shard workload
+// seeds come from shard_seed(), a splitmix64 derivation of (base seed,
+// shard id), so shards drive uncorrelated but reproducible load.
 #pragma once
 
 #include <memory>
@@ -75,12 +81,19 @@ struct ShardedClusterOptions {
   bool sim_env = true;
 };
 
-class ShardedCluster {
+class ShardedCluster : protected EngineCluster {
  public:
   explicit ShardedCluster(ShardedClusterOptions options);
 
-  Simulator& sim() { return sim_; }
-  Network& net() { return net_; }
+  using EngineCluster::checker;
+  using EngineCluster::check_green_prefix_consistency;
+  using EngineCluster::metrics;
+  using EngineCluster::net;
+  using EngineCluster::run_for;
+  using EngineCluster::sample_metrics;
+  using EngineCluster::sim;
+  using EngineCluster::trace_bus;
+
   shard::Router& router() { return *router_; }
   shard::Rebalancer& rebalancer() { return *rebalancer_; }
   txn::TxnCoordinator& txn() { return *txn_; }
@@ -95,29 +108,24 @@ class ShardedCluster {
   int replicas_per_shard() const { return options_.replicas_per_shard; }
   /// True when the simulator runs partitioned into per-shard event lanes
   /// (sim_threads >= 2, sim_lanes, or the TORDB_SIM_* environment).
-  bool lanes_enabled() const { return sim_.lanes_enabled(); }
+  bool lanes_enabled() const { return sim().lanes_enabled(); }
   /// Worker threads actually executing lanes (1 in classic mode).
-  int sim_threads() const { return sim_.lanes_enabled() ? sim_.worker_threads() : 1; }
+  int sim_threads() const { return lanes_enabled() ? sim().worker_threads() : 1; }
   /// The event-schedule digest of one shard's lane: every (time, sequence)
   /// pair executed there, folded in order. Bit-identical across worker
   /// thread counts — the object the parallel equivalence tests compare.
   /// Lane mode only (0 in classic mode, where no per-shard split exists).
   std::uint64_t shard_digest(int shard) const {
-    return sim_.lanes_enabled() ? sim_.lane_digest(shard) : 0;
+    return lanes_enabled() ? sim().lane_digest(shard) : 0;
   }
 
   NodeId node_id(int shard, int idx) const {
     return static_cast<NodeId>(shard * options_.replicas_per_shard + idx);
   }
-  core::ReplicaNode& node(int shard, int idx) {
-    return *nodes_.at(static_cast<std::size_t>(node_id(shard, idx)));
-  }
+  core::ReplicaNode& node(int shard, int idx) { return EngineCluster::node(node_id(shard, idx)); }
   const core::ReplicaNode& node(int shard, int idx) const {
-    return *nodes_.at(static_cast<std::size_t>(node_id(shard, idx)));
+    return EngineCluster::node(node_id(shard, idx));
   }
-  std::vector<NodeId> shard_ids(int shard) const;
-
-  void run_for(SimDuration d) { sim_.run_for(d); }
 
   /// Deterministic per-shard workload seed: splitmix64 over the base seed
   /// and the shard id. Distinct per shard, stable across runs.
@@ -150,38 +158,27 @@ class ShardedCluster {
   // --- convergence & invariants ----------------------------------------------
   /// Every running member of `shard` is in RegPrim with identical green
   /// count and database digest.
-  bool converged(int shard) const;
+  bool converged(int shard) const { return group_converged(group(shard), /*skip_crashed=*/true); }
   /// Highest green count among the shard's running members.
   std::int64_t green_count(int shard) const { return router_->green_watermark(shard); }
 
-  /// Theorem 1 per replication group: green sequences of a shard's members
-  /// agree on shared positions; equal counts imply equal digests.
-  std::optional<std::string> check_green_prefix_consistency() const;
-  std::optional<std::string> check_all() const;
-
-  // --- observability ---------------------------------------------------------
-  const std::shared_ptr<obs::TraceBus>& trace_bus() const { return trace_bus_; }
-  obs::SafetyChecker* checker() const { return checker_.get(); }
-  const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return metrics_; }
-  /// Sample per-shard cumulative stats under `shard.<id>.*` plus the
-  /// deployment-wide aggregates EngineCluster publishes.
-  void sample_metrics();
+  /// EngineCluster::check_all (checker plus the three §5.2 invariants per
+  /// group), plus cross-shard atomicity: no action committed at some
+  /// shards and aborted at others.
+  std::optional<std::string> check_all() const override;
 
  private:
-  void schedule_metrics_roll();
+  /// The `shard.<id>.*`, `sim.lanes.*`, `router.*`, `txn.*` and
+  /// `directory.*` families.
+  void sample_tier_metrics(const std::vector<GroupSample>& groups) override;
   void apply_components();
   void make_txn_coordinator(int halt_at_stage);
+  std::vector<std::vector<core::ReplicaNode*>> member_nodes();
   /// Run `fn(node)` on the node's own lane: inline in classic mode, under a
   /// LaneScope when parked, via a handoff when the simulation is running.
   void in_node_lane(int shard, int idx, void (*fn)(core::ReplicaNode&));
 
   ShardedClusterOptions options_;
-  Simulator sim_;
-  Network net_;
-  std::shared_ptr<obs::TraceBus> trace_bus_;
-  std::unique_ptr<obs::SafetyChecker> checker_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  std::vector<std::unique_ptr<core::ReplicaNode>> nodes_;  ///< indexed by global id
   std::unique_ptr<shard::Router> router_;
   /// Declared after router_ (the coordinator holds a Router&): destruction
   /// runs in reverse order, so the coordinator dies first.

@@ -8,6 +8,7 @@
 
 #include "obs_enable.h"  // run every cluster under the online safety checker
 #include "db/database.h"
+#include "deployment_metrics.h"
 #include "shard/directory.h"
 #include "shard/router.h"
 #include "workload/sharded_cluster.h"
@@ -292,6 +293,7 @@ TEST(ShardedClusterObs, RouterEmitsTraceEventsAndPerShardMetrics) {
   EXPECT_NE(totals.find("shard.0.actions_green"), std::string::npos) << totals;
   EXPECT_NE(totals.find("shard.1.actions_green"), std::string::npos) << totals;
   EXPECT_NE(totals.find("router.committed"), std::string::npos) << totals;
+  tordb::testing::expect_deployment_metrics(totals);
 
   // The per-group checker followed both groups' histories.
   ASSERT_NE(c.checker(), nullptr);

@@ -149,29 +149,43 @@ std::uint64_t sharded_churn_digest(bool with_checker) {
 
 // ---------------------------------------------------------------------------
 // Scenario 2: single-group EVS churn — the paper's deployment shape, no
-// router; partitions and crash/recovery against 7 replicas.
+// router; partitions and crash/recovery against 7 replicas. The same
+// schedule also runs through a 1x7 ShardedCluster: a single group is the
+// one-shard case of a sharded deployment, built by the same harness, and
+// must schedule bit-identically.
 // ---------------------------------------------------------------------------
 
-std::uint64_t single_group_churn_digest() {
-  ClusterOptions o;
-  o.replicas = 7;
-  o.seed = 0xe5e5e5;
-  EngineCluster c(o);
+// The schedule addresses the group's members through these overloads.
+core::ReplicaNode& member(EngineCluster& c, NodeId i) { return c.node(i); }
+core::ReplicaNode& member(ShardedCluster& c, NodeId i) { return c.node(0, i); }
+void split(EngineCluster& c, const std::vector<std::vector<NodeId>>& comps) { c.partition(comps); }
+void split(ShardedCluster& c, const std::vector<std::vector<NodeId>>& comps) {
+  c.partition_shard(0, comps);
+}
+void crash(EngineCluster& c, NodeId i) { c.crash(i); }
+void crash(ShardedCluster& c, NodeId i) { c.crash(0, i); }
+void recover(EngineCluster& c, NodeId i) { c.recover(i); }
+void recover(ShardedCluster& c, NodeId i) { c.recover(0, i); }
+
+constexpr std::uint64_t kSingleGroupSeed = 0xe5e5e5;
+
+template <class Cluster>
+std::uint64_t single_group_churn_digest(Cluster& c) {
   c.run_for(seconds(2));
 
-  Rng rng(o.seed);
+  Rng rng(kSingleGroupSeed);
   for (int step = 0; step < 40; ++step) {
     const NodeId n = static_cast<NodeId>(rng.next_below(7));
-    if (c.node(n).running()) {
-      c.engine(n).submit({}, db::Command::add("k" + std::to_string(step % 5), 1), n,
-                         core::Semantics::kStrict, nullptr);
+    if (member(c, n).running()) {
+      member(c, n).engine().submit({}, db::Command::add("k" + std::to_string(step % 5), 1), n,
+                                   core::Semantics::kStrict, nullptr);
     }
-    if (step == 10) c.partition({{0, 1, 2, 3}, {4, 5, 6}});
+    if (step == 10) split(c, {{0, 1, 2, 3}, {4, 5, 6}});
     if (step == 18) c.heal();
-    if (step == 24) c.crash(2);
-    if (step == 30) c.partition({{0, 1, 3}, {2, 4, 5, 6}});
+    if (step == 24) crash(c, 2);
+    if (step == 30) split(c, {{0, 1, 3}, {2, 4, 5, 6}});
     if (step == 34) c.heal();
-    if (step == 36) c.recover(2);
+    if (step == 36) recover(c, 2);
     c.run_for(millis(static_cast<std::int64_t>(rng.next_range(20, 150))));
   }
   c.run_for(seconds(6));
@@ -180,10 +194,28 @@ std::uint64_t single_group_churn_digest() {
 
   std::uint64_t h = 0x190;
   for (NodeId i = 0; i < 7; ++i) {
-    h = mix(h, c.node(i).running() ? 1 : 0);
-    if (c.node(i).running()) h = fold_engine(h, c.engine(i));
+    h = mix(h, member(c, i).running() ? 1 : 0);
+    if (member(c, i).running()) h = fold_engine(h, member(c, i).engine());
   }
   return fold_net(h, c.net().stats(), c.sim().now());
+}
+
+std::uint64_t single_group_churn_digest() {
+  ClusterOptions o;
+  o.replicas = 7;
+  o.seed = kSingleGroupSeed;
+  EngineCluster c(o);
+  return single_group_churn_digest(c);
+}
+
+std::uint64_t one_shard_churn_digest() {
+  ShardedClusterOptions o;
+  o.shards = 1;
+  o.replicas_per_shard = 7;
+  o.seed = kSingleGroupSeed;
+  o.sim_env = false;  // the classic event loop, as EngineCluster runs
+  ShardedCluster c(o);
+  return single_group_churn_digest(c);
 }
 
 // Golden digests pin the exact virtual-time trajectory; any change to
@@ -216,6 +248,7 @@ TEST(SimDigest, CheckerDoesNotPerturbVirtualTime) {
 
 TEST(SimDigest, SingleGroupChurnMatchesGolden) {
   EXPECT_EQ(single_group_churn_digest(), kSingleGroupChurnGolden);
+  EXPECT_EQ(one_shard_churn_digest(), kSingleGroupChurnGolden);
 }
 
 // ---------------------------------------------------------------------------
