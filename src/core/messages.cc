@@ -122,11 +122,6 @@ Bytes with_type(std::uint8_t type, Body&& body) {
 }
 }  // namespace
 
-Bytes encode_action_msg(const Action& a) {
-  return with_type(static_cast<std::uint8_t>(EngineMsgType::kAction),
-                   [&](BufWriter& w) { a.encode(w); });
-}
-
 Bytes encode_action_batch(const std::vector<Action>& actions) {
   return with_type(static_cast<std::uint8_t>(EngineMsgType::kActionBatch), [&](BufWriter& w) {
     w.vec(actions, [](BufWriter& w2, const Action& a) { a.encode(w2); });

@@ -120,7 +120,6 @@ struct AnnounceMessage {
   friend bool operator==(const AnnounceMessage&, const AnnounceMessage&) = default;
 };
 
-Bytes encode_action_msg(const Action& a);
 Bytes encode_action_batch(const std::vector<Action>& actions);
 std::vector<Action> decode_action_batch(BufReader& r);
 Bytes encode_state_msg(const StateMessage& s);

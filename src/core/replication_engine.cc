@@ -109,15 +109,20 @@ void ReplicationEngine::init_obs() {
     params_.gc.tracer = tracer_;  // construct_gc copies params_.gc
   }
   if (params_.metrics) {
+    params_.gc.metrics = params_.metrics;
+    db_.set_rehash_metric(&params_.metrics->counter("db.table.rehashes"));
     green_latency_hist_ = &params_.metrics->histogram("engine.green_latency_ms");
     view_change_hist_ = &params_.metrics->histogram("engine.view_change_ms");
-    metric_green_ = &params_.metrics->counter("engine.actions_green");
-    metric_red_ = &params_.metrics->counter("engine.actions_red");
-    metric_installs_ = &params_.metrics->counter("engine.primaries_installed");
-    metric_announce_sent_ = &params_.metrics->counter("engine.announce.sent");
-    metric_announce_recv_ = &params_.metrics->counter("engine.announce.received");
-    metric_announce_supp_ = &params_.metrics->counter("engine.announce.suppressed");
+    bind_group_metrics();
   }
+}
+
+void ReplicationEngine::bind_group_metrics() {
+  if (!params_.metrics) return;
+  const std::string prefix = "shard." + std::to_string(net_.group(id_)) + ".";
+  shard_green_ = &params_.metrics->counter(prefix + "actions_green");
+  shard_red_ = &params_.metrics->counter(prefix + "actions_red");
+  shard_installs_ = &params_.metrics->counter(prefix + "primaries_installed");
 }
 
 void ReplicationEngine::set_state(EngineState next) {
@@ -679,7 +684,7 @@ void ReplicationEngine::handle_action(Action& a, SharedBytes enc) {
 // ---------------------------------------------------------------------------
 
 void ReplicationEngine::shift_to_exchange_states() {
-  ++stats_.exchanges;
+  obs::count(stats_.exchanges, metric_exchanges_);
   state_msgs_.clear();
   cpc_received_.clear();
   exchange_plan_ready_ = false;
@@ -1076,8 +1081,8 @@ void ReplicationEngine::install() {
     }
   }
 
-  ++stats_.primaries_installed;
-  if (metric_installs_ != nullptr) metric_installs_->inc();
+  obs::count(stats_.primaries_installed, metric_installs_);
+  if (shard_installs_ != nullptr) shard_installs_->inc();
   if (view_change_hist_ != nullptr && exchange_started_at_ >= 0) {
     view_change_hist_->record((sim_.now() - exchange_started_at_) / 1000000);  // ns -> ms
     exchange_started_at_ = -1;
@@ -1112,9 +1117,9 @@ void ReplicationEngine::on_newly_red(const Action& a) {
   // of loss, so it leaves the ongoing queue and (§6 semantics permitting)
   // the client can be answered.
   storage_.append_framed(static_cast<std::uint8_t>(LogRecordType::kRed), encoded_body(a));
-  ++stats_.actions_red;
+  obs::count(stats_.actions_red, metric_red_);
+  if (shard_red_ != nullptr) shard_red_->inc();
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionRed, a.id);
-  if (metric_red_ != nullptr) metric_red_->inc();
   ongoing_.erase(pack_action_id(a.id));
   maybe_reply_red(a);
 }
@@ -1176,9 +1181,9 @@ void ReplicationEngine::finish_green(const ActionId& aid, const ActionLog::Green
   green_lines_.set(id_, log_.green_count());
   maybe_arm_announce();
   append_log_green(res.position, encoded_body(g));
-  ++stats_.actions_green;
+  obs::count(stats_.actions_green, metric_green_);
+  if (shard_green_ != nullptr) shard_green_->inc();
   if (tracer_) tracer_.emit_action(obs::EventKind::kActionGreen, aid, res.position);
-  if (metric_green_ != nullptr) metric_green_->inc();
   if (green_latency_hist_ != nullptr) {
     const std::uint64_t key = pack_action_id(aid);
     if (const SimTime* t = submit_times_.find(key)) {
@@ -1361,6 +1366,7 @@ void ReplicationEngine::enter_left() {
 
 db::Database ReplicationEngine::dirty_database() const {
   db::Database dirty = db_.clone();
+  dirty.set_rehash_metric(nullptr);  // the dirty copy's growth is not the replica's
   // §6 dirty overlay: pending reds applied over the green state in the
   // deterministic per-creator order the log derives from its cuts (the
   // same order Install would promote them in).
@@ -1437,8 +1443,7 @@ void ReplicationEngine::fire_announce() {
     // as soon as a token would. Stay quiet. A told line re-arms at the next
     // mark_green past it; an untold one re-arms now, so a replica that
     // stops originating announces once it has been quiet an interval.
-    ++stats_.announces_suppressed;
-    if (metric_announce_supp_ != nullptr) metric_announce_supp_->inc();
+    obs::count(stats_.announces_suppressed, metric_announce_supp_);
     if (!told) maybe_arm_announce();
     return;
   }
@@ -1458,15 +1463,13 @@ void ReplicationEngine::send_announce() {
   m.server_id = id_;
   m.green_line = log_.green_count();
   last_announced_green_ = m.green_line;
-  ++stats_.announces_sent;
-  if (metric_announce_sent_ != nullptr) metric_announce_sent_->inc();
+  obs::count(stats_.announces_sent, metric_announce_sent_);
   if (tracer_) tracer_.emit(obs::EventKind::kAnnounceSend, m.green_line);
   gc_->multicast(encode_announce(m), gc::Service::kAgreed);
 }
 
 void ReplicationEngine::handle_announce(const AnnounceMessage& m) {
-  ++stats_.announces_received;
-  if (metric_announce_recv_ != nullptr) metric_announce_recv_->inc();
+  obs::count(stats_.announces_received, metric_announce_recv_);
   if (tracer_) {
     tracer_.emit(obs::EventKind::kAnnounceRecv, static_cast<std::int64_t>(m.server_id),
                  m.green_line);

@@ -112,7 +112,8 @@ struct EngineParams {
   /// set the engine constructs a per-node Tracer and emits the structured
   /// event stream documented on obs::EventKind; it also hands the bus down
   /// to its GroupCommunication instance. When `metrics` is set the engine
-  /// records green-commit latency and view-change duration histograms.
+  /// records green-commit latency and view-change duration histograms and
+  /// counts its events, and its gc and database count theirs.
   std::shared_ptr<obs::TraceBus> trace_bus;
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
@@ -262,6 +263,8 @@ class ReplicationEngine {
   const VulnerableRecord& vulnerable() const { return vulnerable_; }
   const YellowRecord& yellow() const { return yellow_; }
   const EngineStats& stats() const { return stats_; }
+  /// Resolve the `shard.<g>.*` cells for Network::group (again once a harness sets it).
+  void bind_group_metrics();
   gc::GroupCommunication& group_comm() { return *gc_; }
   /// Green sequence entry at `position` (1-based); kNoNode id if trimmed.
   ActionId green_action_at(std::int64_t position) const;
@@ -458,12 +461,18 @@ class ReplicationEngine {
   obs::Tracer tracer_;
   obs::Histogram* green_latency_hist_ = nullptr;   ///< submit → green, ms
   obs::Histogram* view_change_hist_ = nullptr;     ///< exchange → install, ms
-  obs::Counter* metric_green_ = nullptr;
-  obs::Counter* metric_red_ = nullptr;
-  obs::Counter* metric_installs_ = nullptr;
-  obs::Counter* metric_announce_sent_ = nullptr;
-  obs::Counter* metric_announce_recv_ = nullptr;
-  obs::Counter* metric_announce_supp_ = nullptr;
+  obs::Counter* metric_green_ = obs::counter_in(params_.metrics, "engine.actions_green");
+  obs::Counter* metric_red_ = obs::counter_in(params_.metrics, "engine.actions_red");
+  obs::Counter* metric_installs_ = obs::counter_in(params_.metrics, "engine.primaries_installed");
+  obs::Counter* metric_announce_sent_ = obs::counter_in(params_.metrics, "engine.announce.sent");
+  obs::Counter* metric_announce_recv_ =
+      obs::counter_in(params_.metrics, "engine.announce.received");
+  obs::Counter* metric_announce_supp_ =
+      obs::counter_in(params_.metrics, "engine.announce.suppressed");
+  obs::Counter* metric_exchanges_ = obs::counter_in(params_.metrics, "cluster.exchanges");
+  obs::Counter* shard_green_ = nullptr;  ///< `shard.<group>.*`: see bind_group_metrics
+  obs::Counter* shard_red_ = nullptr;
+  obs::Counter* shard_installs_ = nullptr;
   util::FlatMap64<SimTime> submit_times_;  ///< by pack_action_id; only when metrics on
   SimTime exchange_started_at_ = -1;          ///< -1 = no exchange in flight
 };

@@ -255,7 +255,7 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
         const bool row_op = op.type != OpType::kFenceRange &&
                             op.type != OpType::kInstallRange &&
                             op.type != OpType::kUnfenceRange;
-        ids[n++] = row_op ? keys_.intern(op.key) : util::kNoKeyId;
+        ids[n++] = row_op ? intern(op.key) : util::kNoKeyId;
       }
     }
   }
@@ -370,7 +370,7 @@ ApplyResult Database::apply(const Command& query, const Command& update) {
         carve_tracked(snap.lo, snap.hi);
         ranges_.push_back(TrackedRange{snap.lo, snap.hi, false});
         for (const RangeRow& row : snap.rows) {
-          Cell& cell = upsert(keys_.intern(row.key));
+          Cell& cell = upsert(intern(row.key));
           cell.value = row.value;
           cell.ts = row.ts;
         }
@@ -483,7 +483,7 @@ bool Database::update_hits_fence(const Command& cmd) const {
 
 void Database::apply_buffered(const Command& cmd, ApplyResult& res) {
   for (const Op& op : cmd.ops) {
-    const util::KeyId id = keys_.intern(op.key);
+    const util::KeyId id = intern(op.key);
     switch (op.type) {
       case OpType::kPut:
         upsert(id).value = op.value;
@@ -558,6 +558,13 @@ std::size_t Database::ordered_lower_bound(std::string_view lo) const {
       ordered_.begin(), ordered_.end(), lo,
       [this](util::KeyId id, std::string_view bound) { return keys_.key(id) < bound; });
   return static_cast<std::size_t>(it - ordered_.begin());
+}
+
+util::KeyId Database::intern(std::string_view key) {
+  const std::uint64_t rehashes = keys_.rehashes();
+  const util::KeyId id = keys_.intern(key);
+  if (rehash_cell_ != nullptr && keys_.rehashes() != rehashes) rehash_cell_->inc();
+  return id;
 }
 
 DbStats Database::stats() const {
@@ -642,7 +649,7 @@ void Database::restore(const Bytes& snap) {
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::string k = r.str();
-    Cell& cell = upsert(keys_.intern(k));
+    Cell& cell = upsert(intern(k));
     cell.value = r.str();
     cell.ts = r.i64();
   }

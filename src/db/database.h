@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/key_interner.h"
 #include "util/serde.h"
 
@@ -168,8 +169,8 @@ struct ApplyResult {
   std::vector<TxnEvent> txn_events;      ///< only populated by kTxn* ops
 };
 
-/// Flat-table accounting, sampled into the metrics registry by the cluster
-/// harnesses (`db.intern.{keys,bytes}`, `db.table.{slots,rehashes}`).
+/// Flat-table accounting: the registry's `db.intern.{keys,bytes}` and
+/// `db.table.slots` gauges and its `db.table.rehashes` counter.
 struct DbStats {
   std::uint64_t interned_keys = 0;   ///< distinct keys ever seen
   std::uint64_t interned_bytes = 0;  ///< bytes held by the interner
@@ -212,6 +213,8 @@ class Database {
   std::uint64_t digest() const;
 
   Database clone() const { return *this; }
+  /// Count `db.table.rehashes` into `cell` (null: no registry).
+  void set_rehash_metric(obs::Counter* cell) { rehash_cell_ = cell; }
 
   // --- shard rebalancing (DESIGN.md §9) --------------------------------------
 
@@ -229,8 +232,6 @@ class Database {
   /// intent records and `__txnp/` pending cells (DESIGN.md §13).
   std::vector<std::pair<std::string, std::string>> scan_prefix(const std::string& prefix) const;
 
-  /// Number of ranges this database tracks (fenced or installed).
-  std::size_t tracked_ranges() const { return ranges_.size(); }
 
  private:
   /// One row, indexed by the key's dense id. Ids are assigned by the
@@ -280,7 +281,11 @@ class Database {
   /// First position in `ordered_` whose key is >= `lo`.
   std::size_t ordered_lower_bound(std::string_view lo) const;
 
+  /// keys_.intern(key), counting a table rehash into the registry.
+  util::KeyId intern(std::string_view key);
+
   util::KeyInterner keys_;
+  obs::Counter* rehash_cell_ = nullptr;
   std::vector<Cell> cells_;  ///< indexed by KeyId; dense, never shrinks
   std::size_t live_ = 0;     ///< cells with live == true
   /// Lazily-maintained ordered index of (key, id) — the replacement for the

@@ -45,7 +45,7 @@ GroupCommunication::GroupCommunication(Network& net, NodeId id, Listener listene
       });
   // Deliver the initial singleton configuration before anything else runs.
   schedule(0, [this] {
-    ++stats_.regular_configs;
+    obs::count(stats_.regular_configs, configs_cell_);
     emit_config(config_);
     if (listener_.on_regular_config) listener_.on_regular_config(config_);
   });
@@ -325,7 +325,7 @@ void GroupCommunication::deliver_one(std::int64_t seq, DeliveryKind kind) {
     }
   }
   ++stats_.deliveries;
-  if (kind == DeliveryKind::kSafeInRegular) ++stats_.safe_deliveries;
+  if (kind == DeliveryKind::kSafeInRegular) obs::count(stats_.safe_deliveries, safe_cell_);
   if (kind == DeliveryKind::kTransitional) ++stats_.transitional_deliveries;
   if (params_.tracer && kind == DeliveryKind::kSafeInRegular) {
     // Safe delivery is the point the paper's trichotomy hinges on: every
@@ -758,7 +758,7 @@ void GroupCommunication::run_install() {
   stats_.resent_after_install += outbox_.size();
   for (const OutEntry& out : outbox_) send_data(out);
 
-  ++stats_.regular_configs;
+  obs::count(stats_.regular_configs, configs_cell_);
   emit_config(config_);
   if (listener_.on_regular_config) listener_.on_regular_config(config_);
 }

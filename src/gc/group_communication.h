@@ -62,6 +62,7 @@
 
 #include "gc/messages.h"
 #include "gc/types.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -76,6 +77,8 @@ struct GcParams {
   /// Observability handle (disconnected by default — zero cost). Emits
   /// kSafeDeliver, kViewRegular, and kViewTransitional events.
   obs::Tracer tracer;
+  /// Registry for `gc.safe_deliveries` and `gc.regular_configs` (null: none).
+  std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
 struct GcStats {
@@ -281,6 +284,8 @@ class GroupCommunication {
   SimTime last_progress_ = 0;
 
   GcStats stats_;
+  obs::Counter* safe_cell_ = obs::counter_in(params_.metrics, "gc.safe_deliveries");
+  obs::Counter* configs_cell_ = obs::counter_in(params_.metrics, "gc.regular_configs");
 };
 
 }  // namespace tordb::gc

@@ -1,11 +1,13 @@
 // Metrics registry — named counters, gauges, and histograms with
 // virtual-time windowing (DESIGN.md §7).
 //
-// Counters come in two flavours behind one type: directly incremented
-// (`inc`) by instrumented hot paths, or sampled from an existing
-// cumulative source (`set_total`) — the cluster harness samples
-// EngineStats / GcStats / StorageStats totals each window so subsystems
-// need no per-event instrumentation to appear in time series.
+// Counters count events: the subsystem that owns one increments it at the
+// event, beside the matching `*Stats` field (obs::count), through a cell it
+// looked up once at construction (null without a registry). Counters
+// outlive the engines that feed them, so a replica's crash and recovery
+// (paper §2.1) lose nothing counted. Gauges are levels (white lines, queue
+// depths, table sizes) that the deployment harness sets when it rolls a
+// window.
 //
 // Histograms are log2-bucketed (64 buckets over the full i64 range):
 // recording is a clz and two adds, quantiles are estimated by linear
@@ -43,18 +45,18 @@ namespace tordb::obs {
 class Counter {
  public:
   void inc(std::uint64_t by = 1) { value_.fetch_add(by, std::memory_order_relaxed); }
-  /// Adopt a cumulative total sampled from elsewhere (monotonic).
-  void set_total(std::uint64_t total) {
-    std::uint64_t cur = value_.load(std::memory_order_relaxed);
-    while (total > cur &&
-           !value_.compare_exchange_weak(cur, total, std::memory_order_relaxed)) {
-    }
-  }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
 };
+
+/// Count an event: add `by` to a `*Stats` field and to its registry cell,
+/// which is null when the deployment keeps no registry.
+inline void count(std::uint64_t& field, Counter* cell, std::uint64_t by = 1) {
+  field += by;
+  if (cell != nullptr) cell->inc(by);
+}
 
 class Gauge {
  public:
@@ -142,5 +144,11 @@ class MetricsRegistry {
   SimTime window_start_ = 0;
   std::vector<MetricsWindow> windows_;
 };
+
+/// The named counter of `m`, or null when the deployment keeps no registry:
+/// how a subsystem resolves a cell once, at construction.
+inline Counter* counter_in(const std::shared_ptr<MetricsRegistry>& m, const std::string& name) {
+  return m ? &m->counter(name) : nullptr;
+}
 
 }  // namespace tordb::obs

@@ -47,6 +47,11 @@ int Directory::shard_of(std::string_view key) const {
   return static_cast<int>(fnv1a(key) % static_cast<std::uint64_t>(shards_));
 }
 
+void Directory::set_metrics(obs::MetricsRegistry& m) {
+  hit_cell_ = &m.counter("directory.route_cache.hits");
+  miss_cell_ = &m.counter("directory.route_cache.misses");
+}
+
 int Directory::shard_of_cached(std::string_view key) const {
   if (cache_epoch_ != epoch_) {
     // One split/merge/move invalidates every entry; entries refill lazily
@@ -58,10 +63,10 @@ int Directory::shard_of_cached(std::string_view key) const {
   if (id >= cache_shard_.size()) cache_shard_.resize(cache_keys_.size(), -1);
   std::int32_t& slot = cache_shard_[id];
   if (slot >= 0) {
-    ++cache_stats_.hits;
+    obs::count(cache_stats_.hits, hit_cell_);
     return slot;
   }
-  ++cache_stats_.misses;
+  obs::count(cache_stats_.misses, miss_cell_);
   slot = shard_of(key);
   return slot;
 }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "util/key_interner.h"
 
 namespace tordb::shard {
@@ -71,6 +72,8 @@ class Directory {
     std::uint64_t misses = 0;  ///< first-touch interns and post-epoch refills
   };
   const RouteCacheStats& route_cache_stats() const { return cache_stats_; }
+  /// Count route-cache hits and misses into `directory.route_cache.*`.
+  void set_metrics(obs::MetricsRegistry& m);
 
   // --- online rebalancing (ranged mode only; DESIGN.md §9) -------------------
 
@@ -116,6 +119,8 @@ class Directory {
   mutable std::vector<std::int32_t> cache_shard_;  ///< by KeyId; -1 = unfilled
   mutable std::int64_t cache_epoch_ = 0;
   mutable RouteCacheStats cache_stats_;
+  obs::Counter* hit_cell_ = nullptr;  ///< registry cells; null without one
+  obs::Counter* miss_cell_ = nullptr;
 };
 
 }  // namespace tordb::shard

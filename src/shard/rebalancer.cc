@@ -12,13 +12,7 @@ Rebalancer::Rebalancer(Simulator& sim, std::shared_ptr<Directory> directory,
       replicas_(std::move(replicas)),
       options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
-  if (options_.metrics) {
-    metric_moves_ = &options_.metrics->counter("shard.rebalance.moves");
-    metric_moves_failed_ = &options_.metrics->counter("shard.rebalance.moves_failed");
-    metric_rows_ = &options_.metrics->counter("shard.rebalance.rows_moved");
-    metric_bytes_ = &options_.metrics->counter("shard.rebalance.bytes_moved");
-    move_ms_hist_ = &options_.metrics->histogram("shard.rebalance.move_ms");
-  }
+  if (options_.metrics) move_ms_hist_ = &options_.metrics->histogram("shard.rebalance.move_ms");
 }
 
 Rebalancer::~Rebalancer() { *alive_ = false; }
@@ -40,9 +34,10 @@ core::ClientSession& Rebalancer::session(int shard) {
   return *slot;
 }
 
-void Rebalancer::bump_epoch_trace(std::int64_t owner, std::uint64_t range) {
+void Rebalancer::publish_epoch(std::int64_t owner, std::uint64_t range) {
   options_.tracer.emit(obs::EventKind::kDirectoryEpoch, directory_->epoch(), owner,
                        static_cast<std::int64_t>(range));
+  if (epoch_gauge_ != nullptr) epoch_gauge_->set(directory_->epoch());
 }
 
 bool Rebalancer::split_at(const std::string& key) {
@@ -59,7 +54,7 @@ bool Rebalancer::split_at(const std::string& key) {
     return false;
   }
   ++stats_.splits;
-  bump_epoch_trace(directory_->shard_of(key), db::range_fingerprint(key, key));
+  publish_epoch(directory_->shard_of(key), db::range_fingerprint(key, key));
   return true;
 }
 
@@ -75,7 +70,7 @@ bool Rebalancer::merge_at(const std::string& key) {
     return false;
   }
   ++stats_.merges;
-  bump_epoch_trace(directory_->shard_of(key), db::range_fingerprint(key, key));
+  publish_epoch(directory_->shard_of(key), db::range_fingerprint(key, key));
   return true;
 }
 
@@ -173,13 +168,12 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
     fail(mv);
     return;
   }
-  bump_epoch_trace(mv->to, db::range_fingerprint(mv->lo, mv->hi));
+  publish_epoch(mv->to, db::range_fingerprint(mv->lo, mv->hi));
   busy_.erase({mv->lo, mv->hi});
-  ++stats_.moves_completed;
+  obs::count(stats_.moves_completed, metric_moves_);
   stats_.rows_moved += rows;
   stats_.bytes_moved += bytes;
   const SimDuration took = sim_.now() - mv->started;
-  if (metric_moves_ != nullptr) metric_moves_->inc();
   if (metric_rows_ != nullptr) metric_rows_->inc(static_cast<std::uint64_t>(rows));
   if (metric_bytes_ != nullptr) metric_bytes_->inc(static_cast<std::uint64_t>(bytes));
   if (move_ms_hist_ != nullptr) move_ms_hist_->record(took / 1'000'000);  // ns -> ms
@@ -200,8 +194,7 @@ void Rebalancer::cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64
 }
 
 void Rebalancer::fail(std::shared_ptr<Move> mv) {
-  ++stats_.moves_failed;
-  if (metric_moves_failed_ != nullptr) metric_moves_failed_->inc();
+  obs::count(stats_.moves_failed, metric_moves_failed_);
   if (!mv->fence_committed) {
     finish_failed(mv);
     return;

@@ -129,7 +129,7 @@ class Rebalancer {
   void cutover(std::shared_ptr<Move> mv, std::int64_t rows, std::int64_t bytes);
   void fail(std::shared_ptr<Move> mv);
   void finish_failed(std::shared_ptr<Move> mv);
-  void bump_epoch_trace(std::int64_t owner, std::uint64_t range);
+  void publish_epoch(std::int64_t owner, std::uint64_t range);
 
   Simulator& sim_;
   std::shared_ptr<Directory> directory_;
@@ -140,11 +140,14 @@ class Rebalancer {
   std::map<int, std::unique_ptr<core::ClientSession>> sessions_;  ///< per shard
   std::set<std::pair<std::string, std::string>> busy_;  ///< ranges mid-move
   RebalancerStats stats_;
-  obs::Counter* metric_moves_ = nullptr;
-  obs::Counter* metric_moves_failed_ = nullptr;
-  obs::Counter* metric_rows_ = nullptr;
-  obs::Counter* metric_bytes_ = nullptr;
+  obs::Counter* metric_moves_ = obs::counter_in(options_.metrics, "shard.rebalance.moves");
+  obs::Counter* metric_moves_failed_ =
+      obs::counter_in(options_.metrics, "shard.rebalance.moves_failed");
+  obs::Counter* metric_rows_ = obs::counter_in(options_.metrics, "shard.rebalance.rows_moved");
+  obs::Counter* metric_bytes_ = obs::counter_in(options_.metrics, "shard.rebalance.bytes_moved");
   obs::Histogram* move_ms_hist_ = nullptr;
+  obs::Gauge* epoch_gauge_ =
+      options_.metrics ? &options_.metrics->gauge("directory.epoch") : nullptr;
 };
 
 }  // namespace tordb::shard

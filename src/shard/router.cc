@@ -103,11 +103,11 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
          reply = std::move(reply)](const core::SessionReply& r) mutable {
           if (!*alive) return;
           if (r.attempts > 1) {
-            ++stats_.failovers;
+            obs::count(stats_.failovers, failovers_cell_);
             options_.tracer.emit(obs::EventKind::kShardFailover, shard, client, r.attempts);
           }
           if (!r.committed && r.fenced && bounces < options_.max_fence_bounces) {
-            ++stats_.fenced_bounces;
+            obs::count(stats_.fenced_bounces, bounces_cell_);
             ++pending_bounces_;
             sim_.after(options_.fence_retry_delay,
                        [this, alive, client, retained, bounces,
@@ -118,8 +118,9 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
                        });
             return;
           }
-          r.committed ? ++stats_.committed : ++stats_.aborted;
-          if (!r.committed && r.check_aborted) ++stats_.aborted_checks;
+          obs::count(r.committed ? stats_.committed : stats_.aborted,
+                     r.committed ? committed_cell_ : aborted_cell_);
+          if (!r.committed && r.check_aborted) obs::count(stats_.aborted_checks, checks_cell_);
           if (reply) {
             RouteReply out;
             out.committed = r.committed;
@@ -153,8 +154,8 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
       case db::OpType::kTxnPrepare:
       case db::OpType::kTxnConfirm:
       case db::OpType::kTxnCancel: {
-        ++stats_.rejected_unsupported;
-        ++stats_.aborted;
+        obs::count(stats_.rejected_unsupported, unsupported_cell_);
+        obs::count(stats_.aborted, aborted_cell_);
         if (reply) {
           RouteReply out;
           out.committed = false;
@@ -170,12 +171,12 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
   }
   if (has_check) {
     if (cross_check_handler_) {
-      ++stats_.txn_handoffs;
+      obs::count(stats_.txn_handoffs, handoffs_cell_);
       cross_check_handler_(client, std::move(update), std::move(reply));
       return;
     }
     ++stats_.rejected_cross_checks;
-    ++stats_.aborted;
+    obs::count(stats_.aborted, aborted_cell_);
     if (reply) {
       RouteReply out;
       out.committed = false;
@@ -192,7 +193,7 @@ void Router::route(std::int64_t client, db::Command update, RouteReplyFn reply, 
     return;
   }
 
-  ++stats_.routed_cross;
+  obs::count(stats_.routed_cross, cross_cell_);
   const std::int64_t cross_seq = ++next_cross_seq_[static_cast<std::uint64_t>(client)];
   // Deterministic id: unique per (client, cross_seq), stable across runs.
   const std::int64_t xid = client * 1'000'000 + cross_seq;
@@ -233,13 +234,13 @@ void Router::submit_cross_slice(std::int64_t token, int shard, db::Command user_
         if (!*alive) return;
         CrossState& cs = *cross_inflight_.find(static_cast<std::uint64_t>(token));
         if (r.attempts > 1) {
-          ++stats_.failovers;
+          obs::count(stats_.failovers, failovers_cell_);
           options_.tracer.emit(obs::EventKind::kShardFailover, shard, cs.client, r.attempts);
         }
         cs.attempts += r.attempts;
         if (!r.committed && r.fenced && cs.bounces < options_.max_fence_bounces) {
           ++cs.bounces;
-          ++stats_.fenced_bounces;
+          obs::count(stats_.fenced_bounces, bounces_cell_);
           sim_.after(options_.fence_retry_delay, [this, alive, token, retained] {
             if (!*alive) return;
             rebounce_cross_slice(token, *retained);
@@ -284,8 +285,9 @@ void Router::finish_cross(std::int64_t token) {
   CrossState cs = cross_inflight_.extract(static_cast<std::uint64_t>(token));
   const bool committed = cs.all_committed;
   if (cs.any_committed && !cs.all_committed) ++stats_.cross_partial_aborts;
-  committed ? ++stats_.committed : ++stats_.aborted;
-  if (!committed && cs.check_aborted) ++stats_.aborted_checks;
+  obs::count(committed ? stats_.committed : stats_.aborted,
+             committed ? committed_cell_ : aborted_cell_);
+  if (!committed && cs.check_aborted) obs::count(stats_.aborted_checks, checks_cell_);
 
   RouteReply out;
   out.committed = committed;

@@ -134,7 +134,6 @@ class Router {
   static std::string cross_marker_key(std::int64_t client, std::int64_t cross_seq);
 
   const Directory& directory() const { return *directory_; }
-  const std::shared_ptr<Directory>& directory_ptr() const { return directory_; }
   const RouterStats& stats() const { return stats_; }
   /// True when every session created so far has drained.
   bool idle() const;
@@ -226,6 +225,16 @@ class Router {
   std::deque<Deferred> deferred_cross_;
   obs::Histogram* barrier_hist_ = nullptr;
   RouterStats stats_;
+  // Registry cells beside stats_ (null without a registry).
+  obs::Counter* committed_cell_ = obs::counter_in(options_.metrics, "router.committed");
+  obs::Counter* aborted_cell_ = obs::counter_in(options_.metrics, "router.aborted");
+  obs::Counter* checks_cell_ = obs::counter_in(options_.metrics, "router.aborted_checks");
+  obs::Counter* cross_cell_ = obs::counter_in(options_.metrics, "router.cross");
+  obs::Counter* failovers_cell_ = obs::counter_in(options_.metrics, "router.failovers");
+  obs::Counter* bounces_cell_ = obs::counter_in(options_.metrics, "router.fenced_bounces");
+  obs::Counter* handoffs_cell_ = obs::counter_in(options_.metrics, "router.txn.handoffs");
+  obs::Counter* unsupported_cell_ =
+      obs::counter_in(options_.metrics, "router.rejected_unsupported");
 };
 
 }  // namespace tordb::shard

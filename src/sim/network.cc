@@ -36,6 +36,14 @@ const NetworkStats& Network::stats() const {
   return stats_agg_;
 }
 
+void Network::set_metrics(obs::MetricsRegistry& m) {
+  messages_cell_ = &m.counter("net.messages");
+  bytes_cell_ = &m.counter("net.bytes");
+  copied_cell_ = &m.counter("net.payload_bytes_copied");
+  cache_hit_cell_ = &m.counter("net.reachable_cache_hits");
+  cache_miss_cell_ = &m.counter("net.reachable_cache_misses");
+}
+
 void Network::ensure_lane_mode() {
   if (lanes_) return;
   if (!sim_.lanes_enabled()) throw std::logic_error("lane assignment requires simulator lanes");
@@ -172,10 +180,10 @@ std::vector<NodeId> Network::reachable_set(NodeId id) const {
   auto& cache = reach_cache_[lanes_ ? static_cast<std::size_t>(s.lane) : 0];
   auto it = cache.find(key);
   if (it != cache.end()) {
-    ++lstats().reachable_cache_hits;
+    obs::count(lstats().reachable_cache_hits, cache_hit_cell_);
     return it->second;
   }
-  ++lstats().reachable_cache_misses;
+  obs::count(lstats().reachable_cache_misses, cache_miss_cell_);
   std::vector<NodeId> out;
   for (NodeId nid : ids_sorted_) {
     const NodeState& ns = states_[static_cast<std::size_t>(dense_[nid])];
@@ -197,7 +205,7 @@ void Network::charge(NodeId id, SimDuration d) {
 SimTime Network::busy_until(NodeId id) const { return state(id).busy_until; }
 
 void Network::send(NodeId from, NodeId to, const Bytes& payload, Channel channel) {
-  lstats().payload_bytes_copied += payload.size();
+  obs::count(lstats().payload_bytes_copied, copied_cell_, payload.size());
   send(from, to, Bytes(payload), channel);
 }
 
@@ -208,8 +216,8 @@ void Network::send(NodeId from, NodeId to, Bytes&& payload, Channel channel) {
   check_same_lane(src, states_[ti]);
   if (!src.up) return;
   NetworkStats& st = lstats();
-  ++st.messages_sent;
-  st.bytes_sent += payload.size();
+  obs::count(st.messages_sent, messages_cell_);
+  obs::count(st.bytes_sent, bytes_cell_, payload.size());
   charge(from, params_.send_per_message);
 
   if (!connected_idx(fi, ti)) {
@@ -242,7 +250,7 @@ void Network::send(NodeId from, NodeId to, Bytes&& payload, Channel channel) {
 
 void Network::multicast(NodeId from, const std::vector<NodeId>& to, const Bytes& payload,
                         Channel channel) {
-  lstats().payload_bytes_copied += payload.size();
+  obs::count(lstats().payload_bytes_copied, copied_cell_, payload.size());
   multicast(from, to, Bytes(payload), channel);
 }
 
@@ -261,8 +269,8 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to,
   if (!src.up) return;
   charge(from, params_.send_per_message);
   NetworkStats& st = lstats();
-  ++st.messages_sent;
-  st.bytes_sent += p->size();
+  obs::count(st.messages_sent, messages_cell_);
+  obs::count(st.bytes_sent, bytes_cell_, p->size());
 
   // One WAN copy per remote site, not per remote target.
   std::map<int, SimDuration> site_serialization;

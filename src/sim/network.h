@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/serde.h"
 #include "util/types.h"
@@ -199,6 +200,8 @@ class Network {
   /// Aggregated over lanes (a single lane when lanes are off, so this is
   /// exactly the classic counter set).
   const NetworkStats& stats() const;
+  /// Count the `net.*` counters into `m`, beside stats().
+  void set_metrics(obs::MetricsRegistry& m);
   NetworkParams& params() { return params_; }
   Simulator& sim() { return sim_; }
   std::vector<NodeId> node_ids() const;
@@ -260,6 +263,11 @@ class Network {
   /// reachable_set counts cache hits.
   mutable std::vector<NetworkStats> stats_lanes_;
   mutable NetworkStats stats_agg_;  ///< scratch for stats() folding
+  obs::Counter* messages_cell_ = nullptr;  ///< registry cells; null without one
+  obs::Counter* bytes_cell_ = nullptr;
+  obs::Counter* copied_cell_ = nullptr;
+  obs::Counter* cache_hit_cell_ = nullptr;
+  obs::Counter* cache_miss_cell_ = nullptr;
 };
 
 }  // namespace tordb

@@ -299,6 +299,7 @@ bool Simulator::pop_and_run(Lane& l) {
   }
   fn();
   ++l.executed;
+  if (events_cell_ != nullptr && !lane_mode_) events_cell_->inc();
   return true;
 }
 
@@ -395,7 +396,7 @@ void Simulator::run_window(SimTime end) {
   // may read worker-lane state — frozen at the window end, identically for
   // every thread count — but must route mutations through call_in_lane().
   run_lane_window(control_lane(), end);
-  ++windows_;
+  obs::count(windows_, windows_cell_);
   merge_outboxes(end);
   if (barrier_hook_) barrier_hook_();
 }
@@ -404,7 +405,9 @@ void Simulator::run_lane_window(int lane, SimTime end) {
   Lane& l = lanes_[static_cast<std::size_t>(lane)];
   if (l.heap.empty() || l.heap[0].time >= end) return;
   LaneScope scope(*this, lane);
+  const std::size_t before = l.executed;
   while (!l.heap.empty() && l.heap[0].time < end) pop_and_run(l);
+  if (events_cell_ != nullptr) events_cell_->inc(l.executed - before);
 }
 
 void Simulator::dispatch_workers(SimTime end) {
@@ -485,6 +488,7 @@ void Simulator::merge_outboxes(SimTime end) {
     l.outbox.clear();
   }
   if (merge_buf_.empty()) return;
+  if (handoffs_cell_ != nullptr) handoffs_cell_->inc(merge_buf_.size());
   // (time, source lane, source seq): source lane is recoverable from seq
   // ordering only within a lane, so carry it via stable partition — the
   // outboxes were appended in lane order above, and std::stable_sort keeps
@@ -537,6 +541,13 @@ bool Simulator::idle() const {
     if (!l.heap.empty()) return false;
   }
   return true;
+}
+
+void Simulator::set_metrics(obs::MetricsRegistry& m) {
+  events_cell_ = &m.counter("sim.events_executed");
+  if (!lane_mode_) return;
+  windows_cell_ = &m.counter("sim.lanes.windows");
+  handoffs_cell_ = &m.counter("sim.lanes.handoffs");
 }
 
 std::size_t Simulator::executed_events() const {

@@ -73,6 +73,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -343,6 +344,11 @@ class Simulator {
   std::uint64_t windows_run() const { return windows_; }
   std::uint64_t handoffs_posted() const;
 
+  /// Count `sim.events_executed` into `m`, and in lane mode (call after
+  /// enable_lanes) `sim.lanes.windows/handoffs`; there each lane adds its
+  /// events once per window, so worker lanes do not contend on one cell.
+  void set_metrics(obs::MetricsRegistry& m);
+
   /// Invoked on the coordinating thread after every window barrier (and at
   /// the end of each run) — the TraceBus uses it to flush lane-buffered
   /// events in deterministic order. One slot; pass nullptr to clear.
@@ -474,6 +480,9 @@ class Simulator {
   std::uint64_t windows_ = 0;
   std::vector<Lane> lanes_;  ///< exactly one in classic mode
   std::function<void()> barrier_hook_;
+  obs::Counter* events_cell_ = nullptr;  ///< registry cells; null without one
+  obs::Counter* windows_cell_ = nullptr;
+  obs::Counter* handoffs_cell_ = nullptr;
 
   // Worker pool (lane mode, threads >= 2). Window dispatch is generation-
   // counted: the coordinator publishes pool_gen_ (release), workers claim

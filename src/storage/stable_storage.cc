@@ -9,8 +9,14 @@ namespace tordb {
 StableStorage::StableStorage(Simulator& sim, StorageParams params)
     : sim_(sim), params_(params) {}
 
+void StableStorage::set_metrics(obs::MetricsRegistry& m, int group) {
+  appends_cell_ = &m.counter("storage.appends");
+  forces_cell_ = &m.counter("storage.forces");
+  group_forces_cell_ = &m.counter("shard." + std::to_string(group) + ".storage_forces");
+}
+
 std::size_t StableStorage::push(Record r) {
-  ++stats_.appends;
+  obs::count(stats_.appends, appends_cell_);
   records_.push_back(std::move(r));
   return records_.size() - 1;
 }
@@ -59,7 +65,8 @@ void StableStorage::sync(SyncCallback done) {
 void StableStorage::start_force_if_needed() {
   if (force_in_flight_ || durable_ == records_.size()) return;
   force_in_flight_ = true;
-  ++stats_.forces;
+  obs::count(stats_.forces, forces_cell_);
+  if (group_forces_cell_ != nullptr) group_forces_cell_->inc();
   inflight_covered_ = records_.size();
   const std::uint64_t epoch = epoch_;
   sim_.after(params_.force_latency, [this, epoch] { force_completed(epoch); });

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "util/serde.h"
@@ -96,6 +97,9 @@ class StableStorage {
 
   const StorageStats& stats() const { return stats_; }
   StorageParams& params() { return params_; }
+  /// Count `storage.appends`, `storage.forces` and the disk's replication
+  /// group's `shard.<group>.storage_forces` into `m` beside stats().
+  void set_metrics(obs::MetricsRegistry& m, int group);
 
  private:
   struct PendingSync {
@@ -126,6 +130,9 @@ class StableStorage {
   std::uint64_t epoch_ = 0;  ///< bumped on crash to invalidate in-flight forces
   std::vector<PendingSync> pending_;
   StorageStats stats_;
+  obs::Counter* appends_cell_ = nullptr;  ///< registry cells; null without one
+  obs::Counter* forces_cell_ = nullptr;
+  obs::Counter* group_forces_cell_ = nullptr;
 };
 
 }  // namespace tordb

@@ -211,7 +211,7 @@ void TxnCoordinator::begin(std::int64_t client, db::Command update, shard::Route
     pending.home = tr.home;
     pending.update = tr.buffered[slot];
     prep.ops.push_back(db::Command::txn_prepare(pend, pending).ops[0]);
-    ++stats_.prepares;
+    obs::count(stats_.prepares, prepares_cell_);
     session(sid, tr.shards[slot])
         .submit(std::move(prep),
                 [this, alive = alive_, token, slot](const core::SessionReply& r) {
@@ -251,7 +251,7 @@ void TxnCoordinator::on_prepared(std::int64_t token) {
   if (t.fence_fail && !t.check_fail && !t.other_fail && t.bounces < options_.max_fence_retries) {
     // Pure rebalance interference: cancel what prepared and restart the
     // whole transaction against the fresh directory after a pause.
-    ++stats_.restarts;
+    obs::count(stats_.restarts, restarts_cell_);
     t.restarting = true;
   }
   round2(token, /*commit=*/false);
@@ -317,7 +317,7 @@ void TxnCoordinator::round2(std::int64_t token, bool commit) {
 
 void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
   Txn& t = *inflight_[token];
-  ++stats_.confirms;
+  obs::count(stats_.confirms, confirms_cell_);
   const std::int64_t sid = kTxnSessionBase + options_.session_epoch * kEpochStride + t.client;
   session(sid, t.shards[slot])
       .submit(db::Command::txn_confirm(pending_key(t.client, t.seq)),
@@ -339,7 +339,7 @@ void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
                   // Cancel the stranded prepare and re-drive the decided
                   // slice through the router, which re-splits it for the
                   // new owner. The one confirm becomes two operations.
-                  ++stats_.confirm_rerouted;
+                  obs::count(stats_.confirm_rerouted, rerouted_cell_);
                   const bool has_payload = !t.buffered[slot].ops.empty();
                   if (has_payload) ++t.outstanding;
                   submit_cancel(token, slot, /*with_home_cleanup=*/false);
@@ -354,7 +354,7 @@ void TxnCoordinator::submit_confirm(std::int64_t token, std::size_t slot) {
 
 void TxnCoordinator::submit_cancel(std::int64_t token, std::size_t slot, bool with_home_cleanup) {
   Txn& t = *inflight_[token];
-  ++stats_.cancels;
+  obs::count(stats_.cancels, cancels_cell_);
   db::Command cmd = db::Command::txn_cancel(pending_key(t.client, t.seq));
   if (with_home_cleanup && t.shards[slot] == t.home) {
     // The abort path's intent cleanup rides the home cancel: one action,
@@ -431,7 +431,7 @@ void TxnCoordinator::finish(std::int64_t token) {
   out.attempts = t->attempts;
   out.fenced_bounces = t->bounces;
   if (t->committing) {
-    ++stats_.committed;
+    obs::count(stats_.committed, committed_cell_);
     out.committed = true;
     if (t->first_marker >= 0) {
       out.barrier_wait = t->last_marker - t->first_marker;
@@ -447,9 +447,9 @@ void TxnCoordinator::finish(std::int64_t token) {
     out.check_aborted = t->check_fail;
     out.fenced = !t->check_fail && t->fence_fail;
     if (t->check_fail) {
-      ++stats_.aborted_check;
+      obs::count(stats_.aborted_check, check_cell_);
     } else if (t->fence_fail) {
-      ++stats_.aborted_fenced;
+      obs::count(stats_.aborted_fenced, fenced_cell_);
     } else {
       ++stats_.aborted_other;
     }
@@ -498,7 +498,7 @@ void TxnCoordinator::snapshot_read(db::Command query, SnapshotReadFn reply) {
       return;
     }
   }
-  ++stats_.snapshot_reads;
+  obs::count(stats_.snapshot_reads, snapshots_cell_);
   const shard::Directory& dir = router_.directory();
   std::vector<int> shards = dir.shards_of(query);
   if (shards.empty()) shards.push_back(0);
@@ -748,7 +748,7 @@ void TxnCoordinator::adopt_drive(std::int64_t token) {
     }
   };
   for (const int sh : a.with_pending) {
-    ++stats_.cancels;
+    obs::count(stats_.cancels, cancels_cell_);
     db::Command cmd = db::Command::txn_cancel(pending_key(a.client, a.seq));
     if (sh == a.home) {
       cmd.ops.push_back(db::Op{db::OpType::kDelete, intent_key(a.client, a.seq), "", 0});
@@ -785,7 +785,7 @@ void TxnCoordinator::adopt_confirms(std::int64_t token) {
 void TxnCoordinator::adopt_confirm_shard(std::int64_t token, std::size_t slot) {
   Adoption& a = adoptions_[token];
   const int sh = a.shards[slot];
-  ++stats_.confirms;
+  obs::count(stats_.confirms, confirms_cell_);
   session(kAdopterSessionBase + a.xid, sh)
       .submit(db::Command::txn_confirm(pending_key(a.client, a.seq)),
               [this, alive = alive_, token, slot](const core::SessionReply& r) {
@@ -801,7 +801,7 @@ void TxnCoordinator::adopt_confirm_shard(std::int64_t token, std::size_t slot) {
                   // Same fenced-confirm case as the live path: the range
                   // moved after the prepare. Cancel the stranded pending
                   // and re-drive the buffered ops through the router.
-                  ++stats_.confirm_rerouted;
+                  obs::count(stats_.confirm_rerouted, rerouted_cell_);
                   adopt_reroute(token, slot);
                   return;
                 }
@@ -817,7 +817,7 @@ void TxnCoordinator::adopt_reroute(std::int64_t token, std::size_t slot) {
   if (it != a.buffered.end()) buffered = it->second;
   const bool has_payload = !buffered.ops.empty();
   if (has_payload) ++a.outstanding;  // the confirm becomes cancel + reroute
-  ++stats_.cancels;
+  obs::count(stats_.cancels, cancels_cell_);
   auto cancel = std::make_shared<std::function<void()>>();
   *cancel = [this, token, sh, cancel] {
     Adoption& a = adoptions_[token];
@@ -877,7 +877,7 @@ void TxnCoordinator::adopt_cancel_orphan(std::int64_t client, std::int64_t seq,
   const std::int64_t xid = client * kXidStride + seq;
   auto remaining = std::make_shared<int>(static_cast<int>(shards.size()));
   for (const int sh : shards) {
-    ++stats_.cancels;
+    obs::count(stats_.cancels, cancels_cell_);
     auto submit = std::make_shared<std::function<void()>>();
     *submit = [this, client, seq, xid, sh, remaining, submit] {
       session(kAdopterSessionBase + xid, sh)

@@ -275,6 +275,16 @@ class TxnCoordinator {
   obs::Histogram* prepare_decide_hist_ = nullptr;
   obs::Histogram* barrier_hist_ = nullptr;
   TxnStats stats_;
+  // Registry cells beside stats_ (null without a registry).
+  obs::Counter* prepares_cell_ = obs::counter_in(options_.metrics, "router.txn.prepares");
+  obs::Counter* confirms_cell_ = obs::counter_in(options_.metrics, "router.txn.confirms");
+  obs::Counter* cancels_cell_ = obs::counter_in(options_.metrics, "router.txn.cancels");
+  obs::Counter* committed_cell_ = obs::counter_in(options_.metrics, "txn.committed");
+  obs::Counter* check_cell_ = obs::counter_in(options_.metrics, "txn.aborted.check");
+  obs::Counter* fenced_cell_ = obs::counter_in(options_.metrics, "txn.aborted.fenced");
+  obs::Counter* restarts_cell_ = obs::counter_in(options_.metrics, "txn.restarts");
+  obs::Counter* rerouted_cell_ = obs::counter_in(options_.metrics, "txn.confirm_rerouted");
+  obs::Counter* snapshots_cell_ = obs::counter_in(options_.metrics, "txn.snapshot_reads");
 };
 
 }  // namespace tordb::txn

@@ -37,6 +37,8 @@ EngineCluster::EngineCluster(ClusterOptions options, int groups, int lane_thread
   if (options_.obs.metrics_window > 0) {
     metrics_ = std::make_shared<obs::MetricsRegistry>();
     options_.node.engine.metrics = metrics_;
+    sim_.set_metrics(*metrics_);
+    net_.set_metrics(*metrics_);
   }
 
   // Scope every node to its group BEFORE construction where possible: the
@@ -60,6 +62,10 @@ EngineCluster::EngineCluster(ClusterOptions options, int groups, int lane_thread
       if (checker_) checker_->set_node_group(id, g);
       nodes_.push_back(std::make_unique<core::ReplicaNode>(net_, id, members, options_.node));
       net_.set_group(id, g);
+      if (metrics_) {  // the node's `shard.<g>.*` cells, now that its group is set
+        nodes_.back()->storage().set_metrics(*metrics_, g);
+        nodes_.back()->engine().bind_group_metrics();
+      }
     }
     groups_.push_back(std::move(members));
   }
@@ -81,70 +87,63 @@ void EngineCluster::roll_metrics() {
 
 void EngineCluster::sample_metrics() {
   if (!metrics_) return;
-  std::uint64_t exchanges = 0, forces = 0, appends = 0, safe_deliveries = 0, configs = 0;
   std::int64_t white_min = -1, white_lag = 0, bodies = 0, body_bytes = 0;
   db::DbStats db;
-  std::vector<GroupSample> samples;
-  for (const auto& members : groups_) {
-    GroupSample g;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
     std::int64_t min_white = -1, max_green = 0;
-    for (NodeId id : members) {
+    for (NodeId id : groups_[g]) {
       core::ReplicaNode& n = node(id);
-      g.forces += n.storage().stats().forces;
-      appends += n.storage().stats().appends;
       if (!n.running()) continue;
       core::ReplicationEngine& e = n.engine();
-      g.green += e.stats().actions_green;
-      g.red += e.stats().actions_red;
-      g.installs += e.stats().primaries_installed;
-      exchanges += e.stats().exchanges;
       min_white = min_white < 0 ? e.white_line() : std::min(min_white, e.white_line());
       max_green = std::max(max_green, e.green_count());
       bodies += static_cast<std::int64_t>(e.action_log().stored_bodies());
       body_bytes += e.action_log().body_bytes();
-      safe_deliveries += e.group_comm().stats().safe_deliveries;
-      configs += e.group_comm().stats().regular_configs;
       const db::DbStats ds = e.database().stats();
       db.interned_keys += ds.interned_keys;
       db.interned_bytes += ds.interned_bytes;
       db.table_slots += ds.table_slots;
-      db.table_rehashes += ds.table_rehashes;
     }
-    g.white_min = std::max<std::int64_t>(min_white, 0);
-    g.white_lag = max_green - g.white_min;
+    // White-line / body-store health (DESIGN.md §14): `lag` is how far the
+    // group's slowest white line trails its fastest green count — growing
+    // lag means trimming is starving and bodies are pinned.
+    const std::string prefix = "shard." + std::to_string(g) + ".";
+    const std::int64_t line = std::max<std::int64_t>(min_white, 0);
+    metrics_->gauge(prefix + "whiteline.min").set(line);
+    metrics_->gauge(prefix + "whiteline.lag").set(max_green - line);
     if (min_white >= 0) white_min = white_min < 0 ? min_white : std::min(white_min, min_white);
-    white_lag += g.white_lag;
-    forces += g.forces;
-    samples.push_back(g);
+    white_lag += max_green - line;
   }
-  // Cumulative sources: set_total() so roll() turns them into per-window
-  // deltas alongside the engines' directly-incremented `engine.*` cells.
-  metrics_->counter("cluster.exchanges").set_total(exchanges);
-  metrics_->counter("storage.forces").set_total(forces);
-  metrics_->counter("storage.appends").set_total(appends);
-  metrics_->counter("gc.safe_deliveries").set_total(safe_deliveries);
-  metrics_->counter("gc.regular_configs").set_total(configs);
-  // White-line / body-store health (DESIGN.md §14): `lag` is how far each
-  // group's slowest white line trails its fastest green count, summed over
-  // groups — growing lag means trimming is starving and bodies are pinned.
   metrics_->gauge("gc.whiteline.min").set(std::max<std::int64_t>(white_min, 0));
-  metrics_->gauge("gc.whiteline.lag").set(white_lag);
+  metrics_->gauge("gc.whiteline.lag").set(white_lag);  // summed over groups
   metrics_->gauge("gc.bodies.stored").set(bodies);
   metrics_->gauge("gc.bodies.bytes").set(body_bytes);
   // Flat-layout accounting (DESIGN.md §11), summed over running replicas.
-  metrics_->counter("db.intern.keys").set_total(db.interned_keys);
-  metrics_->counter("db.intern.bytes").set_total(db.interned_bytes);
-  metrics_->counter("db.table.slots").set_total(db.table_slots);
-  metrics_->counter("db.table.rehashes").set_total(db.table_rehashes);
-  metrics_->counter("net.messages").set_total(net_.stats().messages_sent);
-  metrics_->counter("net.bytes").set_total(net_.stats().bytes_sent);
-  metrics_->counter("net.payload_bytes_copied").set_total(net_.stats().payload_bytes_copied);
-  metrics_->counter("net.reachable_cache_hits").set_total(net_.stats().reachable_cache_hits);
-  metrics_->counter("net.reachable_cache_misses").set_total(net_.stats().reachable_cache_misses);
-  metrics_->counter("sim.events_executed").set_total(sim_.executed_events());
+  metrics_->gauge("db.intern.keys").set(static_cast<std::int64_t>(db.interned_keys));
+  metrics_->gauge("db.intern.bytes").set(static_cast<std::int64_t>(db.interned_bytes));
+  metrics_->gauge("db.table.slots").set(static_cast<std::int64_t>(db.table_slots));
   metrics_->gauge("sim.queue_depth").set(static_cast<std::int64_t>(sim_.queue_depth()));
   metrics_->gauge("sim.peak_queue_depth").set(static_cast<std::int64_t>(sim_.peak_queue_depth()));
-  sample_tier_metrics(samples);
+  if (!sim_.lanes_enabled()) return;
+  // Lane health (DESIGN.md §15): the per-lane event spread and the clock
+  // skew inside the current window tell whether the load is balanced enough
+  // for the worker pool to help (see docs/OPERATIONS.md).
+  std::uint64_t ev_min = ~0ull, ev_max = 0;
+  SimTime now_min = 0, now_max = 0;
+  std::size_t depth_max = 0;
+  for (int l = 0; l < sim_.lane_count() - 1; ++l) {  // worker lanes only
+    ev_min = std::min<std::uint64_t>(ev_min, sim_.lane_executed(l));
+    ev_max = std::max<std::uint64_t>(ev_max, sim_.lane_executed(l));
+    now_min = l == 0 ? sim_.lane_now(l) : std::min(now_min, sim_.lane_now(l));
+    now_max = std::max(now_max, sim_.lane_now(l));
+    depth_max = std::max(depth_max, sim_.lane_queue_depth(l));
+  }
+  metrics_->gauge("sim.lanes.count").set(sim_.lane_count());
+  metrics_->gauge("sim.lanes.threads").set(sim_.worker_threads());
+  metrics_->gauge("sim.lanes.events.min").set(static_cast<std::int64_t>(ev_min));
+  metrics_->gauge("sim.lanes.events.max").set(static_cast<std::int64_t>(ev_max));
+  metrics_->gauge("sim.lanes.skew_ns").set(now_max - now_min);
+  metrics_->gauge("sim.lanes.queue_depth.max").set(static_cast<std::int64_t>(depth_max));
 }
 
 std::vector<NodeId> EngineCluster::all_ids() const {
@@ -161,6 +160,7 @@ core::ReplicaNode& EngineCluster::add_dormant(NodeId id) {
       std::make_unique<core::ReplicaNode>(net_, id, core::ReplicaNode::DormantTag{},
                                           options_.node));
   groups_.back().push_back(id);
+  if (metrics_) nodes_.back()->storage().set_metrics(*metrics_, net_.group(id));
   return *nodes_.back();
 }
 
@@ -183,15 +183,6 @@ bool EngineCluster::group_converged(const std::vector<NodeId>& ids, bool skip_cr
     }
   }
   return green >= 0;
-}
-
-bool EngineCluster::all_green_at_least(const std::vector<NodeId>& ids,
-                                       std::int64_t count) const {
-  for (NodeId id : ids) {
-    const core::ReplicaNode& n = node(id);
-    if (!n.running() || n.engine().green_count() < count) return false;
-  }
-  return true;
 }
 
 std::optional<std::string> EngineCluster::check_green_prefix_consistency() const {

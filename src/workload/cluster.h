@@ -1,14 +1,14 @@
 // Deployment harness: simulated replica nodes in one or more replication
 // groups over ONE Network and ONE virtual clock, with the observability
 // wiring, the per-group convergence test, the engine-level correctness
-// checkers of paper §5.2 and the deployment-wide metric sampler.
+// checkers of paper §5.2 and the deployment-wide gauge sampler.
 //
 // EngineCluster is the single-group deployment the paper measures.
 // ShardedCluster (sharded_cluster.h) is the same machinery with one group
 // per shard and a router in front: it reaches the generic parts through the
-// protected constructor and hooks below, so every group-level job — obs
-// wiring, window roll, convergence, invariants, sampling — has exactly one
-// implementation here.
+// protected members below, so every group-level job — obs wiring, window
+// roll, convergence, invariants, gauges — has exactly one implementation
+// here.
 #pragma once
 
 #include <memory>
@@ -83,9 +83,6 @@ class EngineCluster {
     return group_converged(ids, /*skip_crashed=*/false);
   }
 
-  /// True when every listed node's engine reached the given green count.
-  bool all_green_at_least(const std::vector<NodeId>& ids, std::int64_t count) const;
-
   // --- invariant checkers (paper §5.2), each per replication group ----------
   // Return a violation description, or nullopt if the invariant holds.
 
@@ -110,9 +107,9 @@ class EngineCluster {
   const std::shared_ptr<obs::TraceBus>& trace_bus() const { return trace_bus_; }
   obs::SafetyChecker* checker() const { return checker_.get(); }
   const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return metrics_; }
-  /// Sample deployment-cumulative stats into the registry (also runs before
-  /// every periodic window roll). The engines' own `engine.*` cells need no
-  /// sampling.
+  /// Set the level gauges: white lines, body stores, db tables, queue
+  /// depths and lane health (also runs before every periodic window roll).
+  /// Counters need no sampling: each subsystem increments its own.
   void sample_metrics();
   /// Sample, then close the current metrics window. The periodic roll does
   /// this every window; benches call it once more for the partial tail.
@@ -134,16 +131,6 @@ class EngineCluster {
   /// digest, and at least one does.
   bool group_converged(const std::vector<NodeId>& ids, bool skip_crashed) const;
   const std::vector<NodeId>& group(int g) const { return groups_.at(static_cast<std::size_t>(g)); }
-
-  /// One group's sampled state, for per-group metric families.
-  struct GroupSample {
-    std::uint64_t green = 0, red = 0, installs = 0;  ///< over running members
-    std::uint64_t forces = 0;                        ///< over every member's disk
-    std::int64_t white_min = 0;  ///< slowest running member's white line
-    std::int64_t white_lag = 0;  ///< fastest green count - white_min
-  };
-  /// Called at the end of sample_metrics() with one sample per group.
-  virtual void sample_tier_metrics(const std::vector<GroupSample>& /*groups*/) {}
 
  private:
   ClusterOptions options_;

@@ -69,6 +69,7 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
   auto dir = std::make_shared<shard::Directory>(
       options_.range_splits.empty() ? shard::Directory::hashed(options_.shards)
                                     : shard::Directory::ranged(options_.range_splits));
+  if (metrics()) dir->set_metrics(*metrics());
   router_ = std::make_unique<shard::Router>(sim(), dir, member_nodes(), std::move(ropts));
 
   make_txn_coordinator(options_.txn_halt_at_stage);
@@ -199,65 +200,6 @@ std::optional<std::string> ShardedCluster::check_all() const {
     return os.str();
   }
   return std::nullopt;
-}
-
-void ShardedCluster::sample_tier_metrics(const std::vector<GroupSample>& groups) {
-  obs::MetricsRegistry& m = *metrics();
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    const GroupSample& g = groups[s];
-    const std::string prefix = "shard." + std::to_string(s) + ".";
-    m.counter(prefix + "actions_green").set_total(g.green);
-    m.counter(prefix + "actions_red").set_total(g.red);
-    m.counter(prefix + "primaries_installed").set_total(g.installs);
-    m.counter(prefix + "storage_forces").set_total(g.forces);
-    m.gauge(prefix + "whiteline.min").set(g.white_min);
-    m.gauge(prefix + "whiteline.lag").set(g.white_lag);
-  }
-  if (lanes_enabled()) {
-    // Lane health (DESIGN.md §15): window count and handoff volume tell how
-    // often the lanes synchronize; the per-lane event spread and the clock
-    // skew inside the current window tell whether the load is balanced
-    // enough for the worker pool to help (see docs/OPERATIONS.md).
-    m.gauge("sim.lanes.count").set(sim().lane_count());
-    m.gauge("sim.lanes.threads").set(sim().worker_threads());
-    m.counter("sim.lanes.windows").set_total(sim().windows_run());
-    m.counter("sim.lanes.handoffs").set_total(sim().handoffs_posted());
-    std::uint64_t ev_min = ~0ull, ev_max = 0;
-    SimTime now_min = 0, now_max = 0;
-    std::size_t depth_max = 0;
-    for (int l = 0; l < sim().lane_count() - 1; ++l) {  // worker lanes only
-      ev_min = std::min<std::uint64_t>(ev_min, sim().lane_executed(l));
-      ev_max = std::max<std::uint64_t>(ev_max, sim().lane_executed(l));
-      now_min = l == 0 ? sim().lane_now(l) : std::min(now_min, sim().lane_now(l));
-      now_max = std::max(now_max, sim().lane_now(l));
-      depth_max = std::max(depth_max, sim().lane_queue_depth(l));
-    }
-    m.gauge("sim.lanes.events.min").set(static_cast<std::int64_t>(ev_min));
-    m.gauge("sim.lanes.events.max").set(static_cast<std::int64_t>(ev_max));
-    m.gauge("sim.lanes.skew_ns").set(now_max - now_min);
-    m.gauge("sim.lanes.queue_depth.max").set(static_cast<std::int64_t>(depth_max));
-  }
-  m.counter("router.committed").set_total(router_->stats().committed);
-  m.counter("router.aborted").set_total(router_->stats().aborted);
-  m.counter("router.aborted_checks").set_total(router_->stats().aborted_checks);
-  m.counter("router.cross").set_total(router_->stats().routed_cross);
-  m.counter("router.failovers").set_total(router_->stats().failovers);
-  m.counter("router.fenced_bounces").set_total(router_->stats().fenced_bounces);
-  m.counter("router.txn.handoffs").set_total(router_->stats().txn_handoffs);
-  m.counter("router.txn.prepares").set_total(txn_->stats().prepares);
-  m.counter("router.txn.confirms").set_total(txn_->stats().confirms);
-  m.counter("router.txn.cancels").set_total(txn_->stats().cancels);
-  m.counter("router.rejected_unsupported").set_total(router_->stats().rejected_unsupported);
-  m.counter("txn.committed").set_total(txn_->stats().committed);
-  m.counter("txn.aborted.check").set_total(txn_->stats().aborted_check);
-  m.counter("txn.aborted.fenced").set_total(txn_->stats().aborted_fenced);
-  m.counter("txn.restarts").set_total(txn_->stats().restarts);
-  m.counter("txn.confirm_rerouted").set_total(txn_->stats().confirm_rerouted);
-  m.counter("txn.snapshot_reads").set_total(txn_->stats().snapshot_reads);
-  m.gauge("directory.epoch").set(router_->directory().epoch());
-  const auto& rc = router_->directory().route_cache_stats();
-  m.counter("directory.route_cache.hits").set_total(rc.hits);
-  m.counter("directory.route_cache.misses").set_total(rc.misses);
 }
 
 }  // namespace tordb::workload

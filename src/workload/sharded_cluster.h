@@ -9,11 +9,10 @@
 // groups never see each other's membership events while sharing the
 // network's clock, latency model and per-node CPU accounting. Obs wiring,
 // the metrics window roll, per-group convergence, the three §5.2 invariants
-// per group and the deployment-wide sampler are the base class's; this
-// class adds only what is sharded: event lanes, the router, the transaction
-// coordinator, the rebalancer, shard-addressed topology controls and the
-// `shard.<id>.*` / `router.*` / `txn.*` / `directory.*` / `sim.lanes.*`
-// metric families.
+// per group and the deployment-wide gauges are the base class's; this
+// class adds only what is sharded: event lanes, the shared directory, the
+// router, the transaction coordinator and the rebalancer (each counting its
+// own registry cells) and shard-addressed topology controls.
 //
 // Node ids are global and contiguous: shard s owns ids
 // [s * replicas_per_shard, (s+1) * replicas_per_shard). Topology controls
@@ -168,9 +167,6 @@ class ShardedCluster : protected EngineCluster {
   std::optional<std::string> check_all() const override;
 
  private:
-  /// The `shard.<id>.*`, `sim.lanes.*`, `router.*`, `txn.*` and
-  /// `directory.*` families.
-  void sample_tier_metrics(const std::vector<GroupSample>& groups) override;
   void apply_components();
   void make_txn_coordinator(int halt_at_stage);
   std::vector<std::vector<core::ReplicaNode*>> member_nodes();

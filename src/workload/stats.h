@@ -48,18 +48,6 @@ class LatencyStats {
   double p99_ms() const { return percentile_ms(0.99); }
   double p999_ms() const { return percentile_ms(0.999); }
 
-  double min_ms() const {
-    if (samples_.empty()) return 0;
-    ensure_sorted();
-    return to_millis(sorted_.front());
-  }
-
-  double max_ms() const {
-    if (samples_.empty()) return 0;
-    ensure_sorted();
-    return to_millis(sorted_.back());
-  }
-
  private:
   void ensure_sorted() const {
     if (sorted_valid_) return;

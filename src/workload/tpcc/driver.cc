@@ -116,12 +116,6 @@ void TpccDriver::start(SimTime window_start, SimTime window_end) {
       m_aborted_[t] = &metrics->counter(prefix + ".aborted");
       m_latency_[t] = &metrics->histogram(prefix + ".latency_us");
     }
-    m_aborted_check_ = &metrics->counter("tpcc.aborted.check");
-    m_aborted_fenced_ = &metrics->counter("tpcc.aborted.fenced");
-    m_cross_ = &metrics->counter("tpcc.cross.committed");
-    m_remote_unchecked_ = &metrics->counter("tpcc.new_order.remote_unchecked");
-    m_remote_checked_ = &metrics->counter("tpcc.new_order.remote_checked");
-    m_bounces_ = &metrics->counter("tpcc.fenced_bounces");
   }
   if (options_.hotspot_shift_after > 0) {
     sim_.after(options_.hotspot_shift_after, [this, alive = alive_] {
@@ -248,10 +242,7 @@ void TpccDriver::record(TxnType type, SimTime t0, bool committed, bool check_abo
 }
 
 void TpccDriver::finish(std::size_t t, TxnType type, SimTime t0, const shard::RouteReply& r) {
-  fenced_bounces_ += static_cast<std::uint64_t>(r.fenced_bounces);
-  if (m_bounces_ != nullptr && r.fenced_bounces > 0) {
-    m_bounces_->inc(static_cast<std::uint64_t>(r.fenced_bounces));
-  }
+  obs::count(fenced_bounces_, m_bounces_, static_cast<std::uint64_t>(r.fenced_bounces));
   record(type, t0, r.committed, r.check_aborted, r.fenced);
   issue(t);
 }
@@ -315,14 +306,12 @@ void TpccDriver::do_new_order(std::size_t t) {
       // A10 ablation: the pre-coordinator downgrade. Strip the per-shard
       // preconditions and apply the remote order unconditionally.
       std::erase_if(cmd.ops, [](const db::Op& op) { return op.type == db::OpType::kCheck; });
-      ++remote_unchecked_;
-      if (m_remote_unchecked_ != nullptr) m_remote_unchecked_->inc();
+      obs::count(remote_unchecked_, m_remote_unchecked_);
     } else {
       // Checks kept: the router hands the command to the prepared-check
       // transaction coordinator (DESIGN.md §13), which evaluates each kCheck
       // at its owning shard and confirms or cancels atomically everywhere.
-      ++remote_checked_;
-      if (m_remote_checked_ != nullptr) m_remote_checked_->inc();
+      obs::count(remote_checked_, m_remote_checked_);
     }
   }
 
@@ -340,10 +329,7 @@ void TpccDriver::do_new_order(std::size_t t) {
             ring.push_back(item);
             if (ring.size() > kRecentItemsCap) ring.erase(ring.begin());
           }
-          if (r.shards_involved > 1) {
-            ++cross_committed_;
-            if (m_cross_ != nullptr) m_cross_->inc();
-          }
+          if (r.shards_involved > 1) obs::count(cross_committed_, m_cross_);
         }
         finish(t, TxnType::kNewOrder, t0, r);
       });
@@ -378,10 +364,7 @@ void TpccDriver::do_payment(std::size_t t) {
                              if (r.committed) {
                                payment_sum_[static_cast<std::size_t>(district_index(w, d))] +=
                                    amount;
-                               if (r.shards_involved > 1) {
-                                 ++cross_committed_;
-                                 if (m_cross_ != nullptr) m_cross_->inc();
-                               }
+                               if (r.shards_involved > 1) obs::count(cross_committed_, m_cross_);
                              }
                              finish(t, TxnType::kPayment, t0, r);
                            });

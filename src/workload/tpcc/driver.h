@@ -212,12 +212,14 @@ class TpccDriver {
   obs::Counter* m_committed_[kTxnTypes] = {};
   obs::Counter* m_aborted_[kTxnTypes] = {};
   obs::Histogram* m_latency_[kTxnTypes] = {};
-  obs::Counter* m_aborted_check_ = nullptr;
-  obs::Counter* m_aborted_fenced_ = nullptr;
-  obs::Counter* m_cross_ = nullptr;
-  obs::Counter* m_remote_unchecked_ = nullptr;
-  obs::Counter* m_remote_checked_ = nullptr;
-  obs::Counter* m_bounces_ = nullptr;
+  obs::Counter* m_aborted_check_ = obs::counter_in(cluster_.metrics(), "tpcc.aborted.check");
+  obs::Counter* m_aborted_fenced_ = obs::counter_in(cluster_.metrics(), "tpcc.aborted.fenced");
+  obs::Counter* m_cross_ = obs::counter_in(cluster_.metrics(), "tpcc.cross.committed");
+  obs::Counter* m_remote_unchecked_ =
+      obs::counter_in(cluster_.metrics(), "tpcc.new_order.remote_unchecked");
+  obs::Counter* m_remote_checked_ =
+      obs::counter_in(cluster_.metrics(), "tpcc.new_order.remote_checked");
+  obs::Counter* m_bounces_ = obs::counter_in(cluster_.metrics(), "tpcc.fenced_bounces");
 };
 
 }  // namespace tordb::workload::tpcc

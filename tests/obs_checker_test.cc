@@ -15,6 +15,7 @@
 #include "sim/simulator.h"
 #include "util/log.h"
 #include "workload/cluster.h"
+#include "workload/experiments.h"
 
 namespace tordb::obs {
 namespace {
@@ -258,6 +259,39 @@ TEST(ObsChecker, LiveClusterPassesAllInvariants) {
   EXPECT_GE(c.metrics()->counter("engine.actions_green").value(), 1u);
 }
 
+// A replica crashes and recovers between two loads: the registry keeps what
+// the crashed engine counted, and counts the recovered engine on top.
+TEST(ObsChecker, CountersSurviveACrashAndRecovery) {
+  workload::ClusterOptions o;
+  o.replicas = 3;
+  o.obs.metrics_window = millis(200);
+  workload::EngineCluster c(o);
+  c.run_for(seconds(1));
+  auto load = [&](int from) {
+    for (int i = from; i < from + 40; ++i) {
+      c.engine(1).submit({}, Command::put("k" + std::to_string(i), "v"), 1, Semantics::kStrict,
+                         nullptr);
+    }
+    c.run_for(seconds(1));
+  };
+  load(0);
+  tordb::testing::IncarnationCounts all;
+  all.add(c.engine(0));  // the incarnation the crash ends
+  c.crash(0);
+  c.run_for(seconds(1));
+  c.recover(0);
+  c.run_for(seconds(1));
+  load(40);
+  ASSERT_TRUE(c.converged_primary(c.all_ids()));
+  for (NodeId id : c.all_ids()) {
+    all.add(c.engine(id));
+    all.add_disk(c.node(id).storage());
+  }
+  c.roll_metrics();
+  tordb::testing::expect_counts_survive_crashes(*c.metrics(), all);
+  EXPECT_EQ(c.engine(0).green_count(), 80);
+}
+
 TEST(ObsChecker, CapturesLogLinesAsTraceEvents) {
   Simulator sim{1};
   auto bus = std::make_shared<TraceBus>(sim);
@@ -340,6 +374,32 @@ TEST(ObsChecker, MetricsWindowTableHasHeaderAndRows) {
   EXPECT_EQ(reg.windows().size(), 2u);
   EXPECT_EQ(reg.windows()[0].counter_deltas.at("x"), 3);
   EXPECT_EQ(reg.windows()[1].counter_deltas.at("x"), 2);
+}
+
+// The registry's window series for a 5-replica run with view changes
+// (`measure_engine_under_view_changes`, 500 ms windows), byte for byte.
+// Every column is a counter its owning subsystem increments at the event —
+// engine, storage, gc, net — so this pins where each count lands in time,
+// not only its total.
+constexpr const char* kViewChangeWindowGolden = R"(        window |    actions_green | primaries_installed |           forces |  safe_deliveries |         messages |        exchanges | histogram p50/p99 (ms)
+  0.00- 0.50s |                0 |                5 |               20 |               25 |               51 |               10 | engine.green_latency_ms 0.00/0.00 | engine.view_change_ms 25.60/31.87
+  0.50- 1.00s |                0 |                0 |                0 |                0 |                0 |                0 | engine.green_latency_ms 0.00/0.00 | engine.view_change_ms 0.00/0.00
+  1.00- 1.50s |                0 |                0 |                0 |                0 |                0 |                0 | engine.green_latency_ms 0.00/0.00 | engine.view_change_ms 0.00/0.00
+  1.50- 2.00s |                0 |                0 |                0 |                0 |                0 |                0 | engine.green_latency_ms 0.00/0.00 | engine.view_change_ms 0.00/0.00
+  2.00- 2.50s |              995 |                0 |              203 |              995 |             1090 |                0 | engine.green_latency_ms 12.02/15.92 | engine.view_change_ms 0.00/0.00
+  2.50- 3.00s |             1005 |                0 |              201 |             1005 |             1112 |                0 | engine.green_latency_ms 12.02/15.92 | engine.view_change_ms 0.00/0.00
+  3.00- 3.50s |              768 |                4 |              202 |              780 |              960 |                5 | engine.green_latency_ms 12.11/43.63 | engine.view_change_ms 26.00/31.88
+  3.50- 4.00s |             1102 |                5 |              193 |              934 |             1279 |                5 | engine.green_latency_ms 12.11/49.52 | engine.view_change_ms 51.20/63.74
+  4.00- 4.50s |              768 |                4 |              202 |              780 |              965 |                5 | engine.green_latency_ms 12.11/43.63 | engine.view_change_ms 26.00/31.88
+  4.50- 5.00s |             1102 |                5 |              193 |              934 |             1279 |                5 | engine.green_latency_ms 12.11/49.52 | engine.view_change_ms 51.20/63.74
+  5.00- 5.10s |               16 |                4 |               14 |               32 |               73 |                5 | engine.green_latency_ms 48.00/63.68 | engine.view_change_ms 26.00/31.88
+)";
+
+TEST(ObsChecker, ViewChangeWindowSeriesMatchesGolden) {
+  std::string table;
+  workload::measure_engine_under_view_changes(5, 4, seconds(1), millis(2500), 1, millis(500),
+                                              &table);
+  EXPECT_EQ(table, kViewChangeWindowGolden);
 }
 
 }  // namespace

@@ -292,7 +292,9 @@ TEST(ShardedClusterObs, RouterEmitsTraceEventsAndPerShardMetrics) {
   const std::string totals = c.metrics()->totals();
   EXPECT_NE(totals.find("shard.0.actions_green"), std::string::npos) << totals;
   EXPECT_NE(totals.find("shard.1.actions_green"), std::string::npos) << totals;
-  EXPECT_NE(totals.find("router.committed"), std::string::npos) << totals;
+  for (const char* name : {"router.committed", "txn.committed", "directory.route_cache.hits"}) {
+    EXPECT_NE(totals.find(name), std::string::npos) << name << " missing from:\n" << totals;
+  }
   tordb::testing::expect_deployment_metrics(totals);
 
   // The per-group checker followed both groups' histories.
@@ -302,6 +304,41 @@ TEST(ShardedClusterObs, RouterEmitsTraceEventsAndPerShardMetrics) {
   EXPECT_GT(c.checker()->canonical_green_count(1), 0);
   EXPECT_EQ(c.checker()->total_green_count(),
             c.checker()->canonical_green_count(0) + c.checker()->canonical_green_count(1));
+}
+
+// One group of three behind the router; a replica crashes and recovers
+// between two loads. The registry keeps what the crashed engine counted, in
+// the deployment-wide and the per-shard families alike.
+TEST(ShardedClusterObs, CountersSurviveACrashAndRecovery) {
+  ShardedClusterOptions o;
+  o.shards = 1;
+  o.replicas_per_shard = 3;
+  o.obs.metrics_window = millis(500);
+  ShardedCluster c(o);
+  c.run_for(seconds(2));
+  auto load = [&](int from) {
+    for (int i = from; i < from + 40; ++i) {
+      c.router().submit(1, Command::put("k" + std::to_string(i), "v"));
+    }
+    c.run_for(seconds(2));
+    EXPECT_TRUE(c.router().idle());
+  };
+  load(0);
+  tordb::testing::IncarnationCounts all;
+  all.add(c.node(0, 0).engine());  // the incarnation the crash ends
+  c.crash(0, 0);
+  c.run_for(seconds(1));
+  c.recover(0, 0);
+  c.run_for(seconds(1));
+  load(40);
+  ASSERT_TRUE(c.converged(0));
+  for (int i = 0; i < 3; ++i) {
+    all.add(c.node(0, i).engine());
+    all.add_disk(c.node(0, i).storage());
+  }
+  c.sample_metrics();
+  tordb::testing::expect_counts_survive_crashes(*c.metrics(), all);
+  EXPECT_EQ(c.metrics()->counter("router.committed").value(), 80u);
 }
 
 }  // namespace
