@@ -168,16 +168,22 @@ void GroupCommunication::order(NodeId origin, std::int64_t local_seq, Service se
   // The sequencer buffers the frame it sent instead of receiving it back
   // over loopback. Storing it on a zero-delay event keeps deliveries out of
   // the caller: run_install re-sends the outbox before it announces the new
-  // configuration. A configuration change in between drops the frame
-  // exactly as it would drop a late ORDERED packet.
+  // configuration. The store keeps the frame even if a gather started at
+  // this instant, so the sequencer holds every frame it orders before any
+  // member can (DESIGN.md §1.1 rests on it); only a configuration change in
+  // between, which needs a whole flush, drops it.
   schedule(0, [this, wire = std::move(wire)] {
     BufReader r(*wire);
     r.u8();  // kOrdered
-    handle_ordered(r, wire);
+    buffer_ordered(r, wire);
   });
 }
 
 void GroupCommunication::handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
+  if (state_ == GcState::kOperational) buffer_ordered(r, wire);
+}
+
+void GroupCommunication::buffer_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
   // Decode the ORDERED header in place (same layout as decode_ordered) and
   // buffer the payload as a slice of the shared wire — every recipient of
   // the multicast holds the same refcounted buffer, zero deep copies.
@@ -186,7 +192,7 @@ void GroupCommunication::handle_ordered(BufReader& r, const std::shared_ptr<cons
   const NodeId origin = r.i32();
   const std::int64_t origin_local_seq = r.i64();
   const auto service = static_cast<Service>(r.u8());
-  if (state_ != GcState::kOperational || config != config_.id) return;
+  if (config != config_.id) return;
   const auto [payload, payload_len] = r.bytes_view();
   const auto off = static_cast<std::uint32_t>(payload - wire->data());
   store_buffered(seq, BufferedMsg{origin, origin_local_seq, service, wire, off,
@@ -261,9 +267,20 @@ void GroupCommunication::reset_stability() {
   for (NodeId m : ms) {
     if (m != id_) others_.push_back(m);
   }
-  cluster_begin_ = self_pos_ - self_pos_ % kAckCluster;
-  cluster_contig_.assign(std::min(kAckCluster, ms.size() - cluster_begin_), 0);
-  cluster_line_.assign((ms.size() + kAckCluster - 1) / kAckCluster, 0);
+  // A group of one cluster keeps the sequencer in it. In a larger group the
+  // clusters cover positions 1..n-1: the sequencer holds every frame it
+  // orders, so nobody waits for its ACK, and it learns its safe line from
+  // the leaders' STABLEs alone. It is then a cluster of itself that sends
+  // no ACK and no STABLE.
+  cluster_origin_ = ms.size() > kAckCluster ? 1 : 0;
+  if (self_pos_ < cluster_origin_) {
+    cluster_begin_ = 0;
+    cluster_contig_.assign(1, 0);
+  } else {
+    cluster_begin_ = self_pos_ - (self_pos_ - cluster_origin_) % kAckCluster;
+    cluster_contig_.assign(std::min(kAckCluster, ms.size() - cluster_begin_), 0);
+  }
+  cluster_line_.assign((ms.size() - cluster_origin_ + kAckCluster - 1) / kAckCluster, 0);
   last_acked_value_ = -1;
   last_stable_sent_ = 0;
   // Pacing timers armed in the old configuration will no-op on config
@@ -278,9 +295,13 @@ std::int64_t GroupCommunication::cluster_min() const {
 
 std::int64_t GroupCommunication::safe_line() const {
   // At most 15 peers plus one entry per other cluster: cheap enough to scan
-  // on every ACK and STABLE without a memo.
+  // on every ACK and STABLE without a memo. Members leave a sequencer
+  // outside the clusters out, since it holds whatever they hold; that
+  // sequencer takes every cluster's line.
   std::int64_t line = cluster_min();
-  const std::size_t own = cluster_begin_ / kAckCluster;
+  const std::size_t own = self_pos_ < cluster_origin_
+                              ? cluster_line_.size()
+                              : (cluster_begin_ - cluster_origin_) / kAckCluster;
   for (std::size_t k = 0; k < cluster_line_.size(); ++k) {
     if (k != own) line = std::min(line, cluster_line_[k]);
   }
@@ -363,6 +384,7 @@ void GroupCommunication::send_ack() {
   if (recv_contig_ == last_acked_value_ || cluster_contig_.size() < 2) return;
   last_ack_sent_ = sim_.now();
   last_acked_value_ = recv_contig_;
+  ++stats_.acks_sent;
   // Acknowledgements go to every cluster peer directly (one hardware
   // multicast), so safe delivery within a cluster costs three one-way
   // hops (DATA, ORDERED, ACK) rather than four — the difference matters
@@ -377,8 +399,10 @@ void GroupCommunication::send_ack() {
 }
 
 void GroupCommunication::schedule_stable() {
-  // Only the leader of a multi-cluster group announces.
-  if (self_pos_ != cluster_begin_ || cluster_line_.size() < 2) return;
+  // Only a cluster's leader announces, to everyone outside its cluster, the
+  // sequencer included. The cluster at position 0 is the whole group or the
+  // sequencer alone: it has no one to tell.
+  if (cluster_begin_ == 0 || self_pos_ != cluster_begin_) return;
   if (stable_scheduled_ || state_ != GcState::kOperational) return;
   if (cluster_min() <= last_stable_sent_) return;
   stable_scheduled_ = true;
@@ -415,7 +439,8 @@ void GroupCommunication::handle_ack(NodeId from, const AckMsg& msg) {
 
 void GroupCommunication::handle_stable(NodeId from, const StableMsg& msg) {
   if (state_ != GcState::kOperational || msg.config != config_.id) return;
-  const std::int32_t pos = pos_of(from);
+  // Position counted from the first clustered member (a non-member is < 0).
+  const std::int32_t pos = pos_of(from) - static_cast<std::int32_t>(cluster_origin_);
   if (pos < 0 || pos % static_cast<std::int32_t>(kAckCluster) != 0) return;  // leaders only
   std::int64_t& line = cluster_line_[static_cast<std::size_t>(pos) / kAckCluster];
   if (msg.line <= line) return;
@@ -500,14 +525,20 @@ JoinInfoMsg GroupCommunication::make_join_info(const GatherToken& token) const {
   info.recv_contig = recv_contig_;
   info.delivered_upto = delivered_upto_;
   // Own cluster (self included): the ACKed prefixes. Other clusters: the
-  // leader's announced minimum, a lower bound on each member's prefix that
-  // is >= our own safe line (DESIGN.md §1.1), so the coordinator's plan
-  // formula keeps the safe-delivery trichotomy.
+  // leader's announced minimum. A sequencer outside the clusters: our own
+  // prefix, since it holds every frame it ordered. Each is a lower bound on
+  // that member's prefix and >= our own safe line (DESIGN.md §1.1), so the
+  // coordinator's plan formula keeps the safe-delivery trichotomy.
   info.known_contig.reserve(config_.members.size());
   for (std::size_t i = 0; i < config_.members.size(); ++i) {
     const std::size_t c = i - cluster_begin_;  // wraps below the own cluster
-    info.known_contig.push_back(c < cluster_contig_.size() ? cluster_contig_[c]
-                                                           : cluster_line_[i / kAckCluster]);
+    if (c < cluster_contig_.size()) {
+      info.known_contig.push_back(cluster_contig_[c]);
+    } else if (i < cluster_origin_) {
+      info.known_contig.push_back(recv_contig_);
+    } else {
+      info.known_contig.push_back(cluster_line_[(i - cluster_origin_) / kAckCluster]);
+    }
   }
   info.max_config_counter = counter_floor_;
   return info;

@@ -19,17 +19,24 @@
 //                   that minimum advances. A member's safe line is the min
 //                   of its own prefix, its cluster peers' ACKs and the other
 //                   clusters' announced minimums; a message is delivered
-//                   *safe* once the safe line covers it. Each member thus
-//                   receives ~15 ACKs + ceil(n/16)-1 STABLEs per ack
-//                   interval instead of n-1 ACKs, and a group of <= 16 (the
-//                   paper's 14-node testbed) is one cluster that sends no
-//                   STABLE at all (DESIGN.md §1.1).
+//                   *safe* once the safe line covers it. A group of <= 16
+//                   (the paper's 14-node testbed) is one cluster that sends
+//                   no STABLE at all. In a larger group the sequencer joins
+//                   no cluster: it holds every frame it orders before any
+//                   member can, so the clusters cover positions 1..n-1, it
+//                   sends and receives no ACK, its safe line is the min of
+//                   its prefix and every leader's line, and members leave
+//                   it out of theirs. Per ack interval the sequencer thus
+//                   receives ceil((n-1)/16) STABLEs and each other member
+//                   <= 15 ACKs + ceil((n-1)/16)-1 STABLEs, instead of n-1
+//                   ACKs (DESIGN.md §1.1).
 //   membership    : on any reachability change a flush protocol runs: the
 //     (flush)       lowest reachable node INQUIREs, members reply JOIN_INFO
 //                   (what they hold and what they know others received; a
 //                   member of another cluster is reported at that cluster's
-//                   announced minimum, a lower bound on its prefix that is
-//                   >= the reporter's safe line), the
+//                   announced minimum and a sequencer outside the clusters
+//                   at the reporter's own prefix, each a lower bound on that
+//                   member's prefix that is >= the reporter's safe line), the
 //                   coordinator computes a PLAN (per old configuration: who
 //                   continues together, the safe line, the retransmission
 //                   target), holders RETRANSmit so all continuing members
@@ -93,6 +100,7 @@ struct GcStats {
   std::uint64_t resent_after_install = 0;
   std::uint64_t data_received = 0;     ///< DATA packets (sequencer role)
   std::uint64_t ordered_received = 0;  ///< ORDERED packets from the sequencer
+  std::uint64_t acks_sent = 0;         ///< ACK multicasts to cluster peers
   std::uint64_t acks_received = 0;     ///< ACK packets from cluster peers
   std::uint64_t stables_received = 0;  ///< STABLE packets from other clusters' leaders
 };
@@ -120,6 +128,8 @@ class GroupCommunication {
   /// recoveries and feed back as initial_config_counter).
   std::int64_t max_counter_seen() const { return counter_floor_; }
   const GcStats& stats() const { return stats_; }
+  /// Highest contiguous ORDERED sequence held in the current configuration.
+  std::int64_t received_upto() const { return recv_contig_; }
 
   /// Send the coalesced ACK now if one is pending. A member about to be
   /// torn down while still connected (a graceful leave) calls this, or its
@@ -170,6 +180,8 @@ class GroupCommunication {
   // --- data path ------------------------------------------------------
   void handle_data(NodeId from, BufReader& r);
   void handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
+  /// Store an ORDERED frame of the current configuration, whatever the state.
+  void buffer_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
   void handle_stable(NodeId from, const StableMsg& msg);
   void store_ordered(OrderedMsg&& msg);
@@ -236,9 +248,13 @@ class GroupCommunication {
   BufferedMsg* buffered(std::int64_t seq);  ///< slot for seq, or nullptr
   void buffer_put(std::int64_t seq, BufferedMsg m);
   /// Ack cluster width. Fixed, not a knob: the paper's 14-node testbed stays
-  /// one cluster (so its traffic is unchanged), while a member of an n-node
-  /// group receives ~15 + ceil(n/16)-1 stability messages per ack interval.
+  /// one cluster (so its traffic is unchanged), while in an n-node group
+  /// the sequencer receives ceil((n-1)/16) stability messages per ack
+  /// interval and every other member <= 15 + ceil((n-1)/16)-1.
   static constexpr std::size_t kAckCluster = 16;
+  /// Position of the first clustered member: 0 in a group of one cluster,
+  /// 1 in a larger one, whose sequencer stands outside the clusters.
+  std::size_t cluster_origin_ = 0;
   /// Dense member index: member_pos_[m - member_base_] is m's position in
   /// config_.members (-1: not a member). Member ids of one group are a
   /// narrow range, so an O(1) probe serves every ACK and STABLE.
@@ -249,10 +265,12 @@ class GroupCommunication {
   /// config_.members without this node: the sequencer's ORDERED recipients.
   std::vector<NodeId> others_;
   /// Own cluster's contig knowledge, indexed by position - cluster_begin_;
-  /// the own slot tracks recv_contig_.
+  /// the own slot tracks recv_contig_. A sequencer outside the clusters is
+  /// a cluster of itself (begin 0, one slot).
   std::vector<std::int64_t> cluster_contig_;
   std::size_t cluster_begin_ = 0;
-  /// Every cluster's last announced minimum (the own cluster's is unused).
+  /// Every cluster's last announced minimum (the own cluster's is unused);
+  /// cluster k starts at position cluster_origin_ + 16k.
   std::vector<std::int64_t> cluster_line_;
   std::int64_t counter_floor_ = 0;
 

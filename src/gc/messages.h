@@ -2,7 +2,9 @@
 //
 // Data path: DATA (sender -> sequencer), ORDERED (sequencer -> members),
 // ACK (member -> the other members of its ack cluster), STABLE (cluster
-// leader -> every member outside its cluster).
+// leader -> every member outside its cluster). Above 16 members the
+// sequencer is in no cluster: it sends and receives no ACK, and hears every
+// cluster's STABLE.
 //
 // Membership path (flush protocol): INQUIRE (coordinator -> members),
 // JOIN_INFO (member -> coordinator), PLAN (coordinator -> members),

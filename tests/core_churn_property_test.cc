@@ -139,6 +139,7 @@ std::vector<Scenario> scenarios() {
   // Above 16 replicas the gc layer's stability spans several ack clusters.
   for (std::uint64_t s = 401; s <= 406; ++s) v.push_back({s, 20, 30, 3});
   for (std::uint64_t s = 501; s <= 506; ++s) v.push_back({s, 34, 30, 3});
+  for (std::uint64_t s = 601; s <= 606; ++s) v.push_back({s, 48, 30, 3});
   return v;
 }
 

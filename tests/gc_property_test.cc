@@ -98,10 +98,11 @@ std::vector<Scenario> scenarios() {
   for (std::uint64_t seed = 45; seed <= 60; ++seed) v.push_back({seed, 9, true});
   for (std::uint64_t seed = 61; seed <= 68; ++seed) v.push_back({seed, 14, true});
   // Above 16 members stability runs through two ack clusters or more
-  // (cluster leaders' STABLEs): with and without crashes, which can take
-  // a cluster's leader down.
+  // (cluster leaders' STABLEs) and the sequencer stands outside them: with
+  // and without crashes, which can take a cluster's leader or the
+  // sequencer down.
   std::uint64_t seed = 69;
-  for (int nodes : {20, 30, 40}) {
+  for (int nodes : {20, 30, 40, 64, 100}) {
     for (int i = 0; i < 6; ++i, ++seed) v.push_back({seed, nodes, i >= 3});
   }
   return v;
