@@ -18,8 +18,8 @@
 // of the worker pool, and the speedup column is wall(1 thread)/wall(N).
 //
 // The whole sweep lands in BENCH_simscale.json (one row per run:
-// shards, replicas, threads, wall_ms, events/sec, green throughput) so the
-// perf trajectory is recorded run-over-run.
+// shards, replicas, threads, wall_ms, setup_ms, events/sec, green
+// throughput) so the perf trajectory is recorded run-over-run.
 //
 // Both modes run the 1x100 group twice, with green-line announcements on
 // and off, and fail if announcements cost it more than 5% of its simulated
@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
     measure = seconds(1);
   }
 
-  std::printf("%14s | %3s | %8s | %9s | %10s | %9s | %10s | %6s | %7s | %6s | %7s\n",
-              "config", "thr", "green/s", "events", "ev/wall-s", "wall", "ms/sim-s", "peakQ",
-              "copyMB", "cache%", "speedup");
-  bench::row_sep(118);
+  std::printf("%14s | %3s | %8s | %9s | %10s | %9s | %8s | %10s | %6s | %7s | %6s | %7s\n",
+              "config", "thr", "green/s", "events", "ev/wall-s", "wall", "setup", "ms/sim-s",
+              "peakQ", "copyMB", "cache%", "speedup");
+  bench::row_sep(129);
 
   bench::Stopwatch total;
   bench::JsonRows json;
@@ -140,11 +140,11 @@ int main(int argc, char** argv) {
       char label[32];
       std::snprintf(label, sizeof(label), "%dx%d (%d)%s", c.shards, c.replicas_per_shard,
                     total_replicas, c.announce ? "" : " off");
-      std::printf("%14s | %3d | %8.0f | %9llu | %10.0f | %7.0fms | %10.1f | %6zu | %7.2f | "
-                  "%5.0f%% | %6.2fx\n",
+      std::printf("%14s | %3d | %8.0f | %9llu | %10.0f | %7.0fms | %6.0fms | %10.1f | %6zu | "
+                  "%7.2f | %5.0f%% | %6.2fx\n",
                   label, p.sim_threads, p.green_per_second,
                   static_cast<unsigned long long>(p.events), p.events_per_wall_second, p.wall_ms,
-                  p.wall_ms_per_sim_second, p.peak_queue_depth,
+                  p.setup_ms, p.wall_ms_per_sim_second, p.peak_queue_depth,
                   static_cast<double>(p.payload_bytes_copied) / (1024.0 * 1024.0),
                   lookups ? 100.0 * static_cast<double>(p.reachable_cache_hits) /
                                 static_cast<double>(lookups)
@@ -158,6 +158,7 @@ int main(int argc, char** argv) {
       json.field("threads", p.sim_threads);
       json.field("announce", c.announce);
       json.field("wall_ms", p.wall_ms);
+      json.field("setup_ms", p.setup_ms);
       json.field("events", p.events);
       json.field("events_per_sec", p.events_per_wall_second);
       json.field("green_per_sec", p.green_per_second);
@@ -171,10 +172,11 @@ int main(int argc, char** argv) {
   }
   const double total_wall_ms = total.ms();
   std::printf("\n(thr: lane-mode worker threads, 0 = classic event loop; ev/wall-s: "
-              "simulator events executed per host second; ms/sim-s: host milliseconds per "
-              "simulated second; copyMB: payload bytes deep-copied on the send path; cache%%: "
-              "reachable_set cache hit rate; speedup: wall(1 lane thread) / wall(N), simulated "
-              "results bit-identical across lane rows)\n");
+              "simulator events executed per host second; setup: host time to build the "
+              "deployment and form its primary components, part of wall; ms/sim-s: host "
+              "milliseconds per simulated second; copyMB: payload bytes deep-copied on the send "
+              "path; cache%%: reachable_set cache hit rate; speedup: wall(1 lane thread) / "
+              "wall(N), simulated results bit-identical across lane rows)\n");
   std::printf("total wall clock: %.0f ms\n", total_wall_ms);
   json.write("BENCH_simscale.json");
 

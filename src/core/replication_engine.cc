@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 
+#include "core/exchange_plan.h"
 #include "util/log.h"
 
 namespace tordb::core {
@@ -718,109 +719,54 @@ void ReplicationEngine::shift_to_exchange_states() {
   });
 }
 
-void ReplicationEngine::handle_state_msg(const StateMessage& s) {
+void ReplicationEngine::handle_state_msg(StateMessage&& s) {
   if (state_ != EngineState::kExchangeStates) return;  // A.1/A.3: ignore
   if (!(s.conf_id == conf_.id)) return;
-  state_msgs_[s.server_id] = s;
-  for (NodeId m : conf_.members) {
-    if (!state_msgs_.count(m)) return;
-  }
-  shift_to_exchange_actions();
+  // Only members of the configuration deliver in it, so every member has
+  // sent once the map holds as many messages as there are members.
+  assert(conf_.contains(s.server_id));
+  state_msgs_[s.server_id] = std::move(s);
+  if (state_msgs_.size() == conf_.members.size()) shift_to_exchange_actions();
 }
 
 void ReplicationEngine::shift_to_exchange_actions() {
   set_state(EngineState::kExchangeActions);
 
   // Deterministic retransmission plan, computed identically by every member
-  // from the identical set of State messages (replacing the turn-based
-  // Retrans() of A.4/A.6 — same content, fully parallel).
-  std::int64_t min_green = INT64_MAX, max_green = -1;
-  NodeId most_updated = kNoNode;
-  for (NodeId m : conf_.members) {
-    const StateMessage& s = state_msgs_.at(m);
-    min_green = std::min(min_green, s.green_count);
-    // Among members with the maximal green count, prefer one that still
-    // holds action bodies (lower white line) so cheap per-action
-    // retransmission beats a full state transfer; then lowest id.
-    if (s.green_count > max_green ||
-        (s.green_count == max_green &&
-         s.white_count < state_msgs_.at(most_updated).white_count)) {
-      max_green = s.green_count;
-      most_updated = m;
-    }
-  }
-  const StateMessage& holder_msg = state_msgs_.at(most_updated);
+  // from the identical set of State messages (exchange_plan.h).
+  std::vector<const StateMessage*> msgs;
+  msgs.reserve(conf_.members.size());
+  for (NodeId m : conf_.members) msgs.push_back(&state_msgs_.at(m));
+  const ExchangePlan plan = plan_exchange(msgs);
+  expected_retrans_ = plan.expected;
 
-  if (max_green > min_green) {
-    if (holder_msg.white_count > min_green) {
-      // The most updated member inherited its prefix (joined via snapshot)
-      // and holds no bodies below its white line: transfer the whole green
-      // state instead of individual actions.
-      expected_retrans_ += 1;
-      if (most_updated == id_) {
-        SnapshotMessage snap;
-        snap.db_snapshot = db_.snapshot();
-        snap.green_count = log_.green_count();
-        snap.green_red_cut = log_.green_red_cut_pairs();
-        snap.server_set = server_set_;
-        snap.green_lines = green_lines_.entries();
-        snap.prim = prim_;
-        gc_->multicast(encode_catchup(snap), gc::Service::kAgreed);
-        ++stats_.snapshots_sent;
-      }
+  if (plan.green_source == id_) {
+    if (plan.green_snapshot) {
+      SnapshotMessage snap;
+      snap.db_snapshot = db_.snapshot();
+      snap.green_count = log_.green_count();
+      snap.green_red_cut = log_.green_red_cut_pairs();
+      snap.server_set = server_set_;
+      snap.green_lines = green_lines_.entries();
+      snap.prim = prim_;
+      gc_->multicast(encode_catchup(snap), gc::Service::kAgreed);
+      ++stats_.snapshots_sent;
     } else {
-      expected_retrans_ += max_green - min_green;
-      if (most_updated == id_) {
-        for (std::int64_t pos = min_green + 1; pos <= max_green; ++pos) {
-          const Action* body = log_.green_body_at(pos);
-          assert(body != nullptr);
-          gc_->multicast(encode_green_retrans(pos, *body), gc::Service::kAgreed);
-          ++stats_.green_retrans_sent;
-        }
-      }
-    }
-  }
-
-  // Red actions, per creator: the member holding the longest prefix
-  // retransmits what others lack (beyond what the green path carries).
-  std::set<NodeId> creators;
-  for (const auto& [m, s] : state_msgs_) {
-    for (const auto& [c, v] : s.red_cut) creators.insert(c);
-  }
-  auto cut_of = [](const StateMessage& s, NodeId c) {
-    for (const auto& [n, v] : s.red_cut) {
-      if (n == c) return v;
-    }
-    return std::int64_t{0};
-  };
-  auto green_cut_of = [](const StateMessage& s, NodeId c) {
-    for (const auto& [n, v] : s.green_red_cut) {
-      if (n == c) return v;
-    }
-    return std::int64_t{0};
-  };
-  for (NodeId c : creators) {
-    std::int64_t cmax = 0, cmin = INT64_MAX;
-    NodeId holder = kNoNode;
-    for (NodeId m : conf_.members) {
-      const std::int64_t v = cut_of(state_msgs_.at(m), c);
-      cmin = std::min(cmin, v);
-      if (v > cmax || (v == cmax && holder == kNoNode)) {
-        cmax = v;
-        holder = m;
-      }
-    }
-    if (holder == kNoNode) continue;
-    const std::int64_t lo = std::max(cmin, green_cut_of(state_msgs_.at(holder), c));
-    if (cmax <= lo) continue;
-    expected_retrans_ += cmax - lo;
-    if (holder == id_) {
-      for (std::int64_t idx = lo + 1; idx <= cmax; ++idx) {
-        const Action* body = log_.body_of(ActionId{c, idx});
+      for (std::int64_t pos = plan.green_lo + 1; pos <= plan.green_hi; ++pos) {
+        const Action* body = log_.green_body_at(pos);
         assert(body != nullptr);
-        gc_->multicast(encode_red_retrans(*body), gc::Service::kAgreed);
-        ++stats_.red_retrans_sent;
+        gc_->multicast(encode_green_retrans(pos, *body), gc::Service::kAgreed);
+        ++stats_.green_retrans_sent;
       }
+    }
+  }
+  for (const ExchangePlan::RedRange& r : plan.red) {
+    if (r.source != id_) continue;
+    for (std::int64_t idx = r.lo + 1; idx <= r.hi; ++idx) {
+      const Action* body = log_.body_of(ActionId{r.creator, idx});
+      assert(body != nullptr);
+      gc_->multicast(encode_red_retrans(*body), gc::Service::kAgreed);
+      ++stats_.red_retrans_sent;
     }
   }
 

@@ -291,7 +291,7 @@ class ReplicationEngine {
   /// encoding, shared with the gc buffer) the log may keep that and leave
   /// `a` as it is; without one (a batched action) `a` may move into the log.
   void handle_action(Action& a, SharedBytes enc);
-  void handle_state_msg(const StateMessage& s);
+  void handle_state_msg(StateMessage&& s);
   void handle_cpc(const CpcMessage& c);
   void handle_green_retrans(std::int64_t position, const Action& a);
   void handle_red_retrans(const Action& a);

@@ -96,14 +96,20 @@ void Network::add_node(NodeId id) {
     states_.back().lane = sim_.current_lane();
   }
   ids_sorted_.insert(std::lower_bound(ids_sorted_.begin(), ids_sorted_.end(), id), id);
-  // Grow the flat link-horizon matrix from old_n^2 to n^2, preserving
-  // existing horizons (indices are stable; only the row stride changes).
+  // Rows and columns are indexed by the row stride, which grows
+  // geometrically: a regrowth copies the old rows into the wider matrix
+  // (indices are stable, so every horizon keeps its cell), and building n
+  // nodes copies O(n^2) cells in all.
   const std::size_t n = old_n + 1;
-  std::vector<SimTime> grown(n * n, 0);
-  for (std::size_t f = 0; f < old_n; ++f) {
-    for (std::size_t t = 0; t < old_n; ++t) grown[f * n + t] = link_horizon_[f * old_n + t];
+  if (n > link_stride_) {
+    const std::size_t stride = std::max(n, 2 * link_stride_);
+    std::vector<SimTime> grown(stride * stride, 0);
+    for (std::size_t f = 0; f < old_n; ++f) {
+      std::copy_n(link_horizon_.data() + f * link_stride_, old_n, grown.data() + f * stride);
+    }
+    link_horizon_ = std::move(grown);
+    link_stride_ = stride;
   }
-  link_horizon_ = std::move(grown);
   for (auto& cache : reach_cache_) cache.clear();
 }
 
@@ -204,6 +210,10 @@ void Network::charge(NodeId id, SimDuration d) {
 
 SimTime Network::busy_until(NodeId id) const { return state(id).busy_until; }
 
+SimTime Network::link_horizon(NodeId from, NodeId to) const {
+  return link_horizon_[idx(from) * link_stride_ + idx(to)];
+}
+
 void Network::send(NodeId from, NodeId to, const Bytes& payload, Channel channel) {
   obs::count(lstats().payload_bytes_copied, copied_cell_, payload.size());
   send(from, to, Bytes(payload), channel);
@@ -237,7 +247,7 @@ void Network::send(NodeId from, NodeId to, Bytes&& payload, Channel channel) {
   SimTime arrive = sim_.now() + latency;
 
   // FIFO per directed link: never deliver earlier than a previous packet.
-  SimTime& horizon = link_horizon_[fi * states_.size() + ti];
+  SimTime& horizon = link_horizon_[fi * link_stride_ + ti];
   arrive = std::max(arrive, horizon + 1);
   horizon = arrive;
 
@@ -302,7 +312,7 @@ void Network::multicast(NodeId from, const std::vector<NodeId>& to,
       if (params_.jitter > 0) latency += sim_.rng().next_range(0, params_.jitter - 1);
     }
     SimTime arrive = sim_.now() + latency;
-    SimTime& horizon = link_horizon_[fi * states_.size() + ti];
+    SimTime& horizon = link_horizon_[fi * link_stride_ + ti];
     arrive = std::max(arrive, horizon + 1);
     horizon = arrive;
     const std::uint64_t to_epoch = states_[ti].epoch;

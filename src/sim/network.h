@@ -20,10 +20,12 @@
 //
 // Hot-path layout: node state lives in a dense vector indexed by a compact
 // per-node index (NodeId -> index via a flat lookup table), link FIFO
-// horizons in one n*n array, and multicast recipients share a single
-// refcounted payload buffer — receivers treat payloads as read-only, so a
-// group-wide multicast performs zero per-target deep copies. reachable_set()
-// is cached per (component, group) and invalidated on topology changes.
+// horizons in one square array indexed [from * stride + to] whose stride
+// grows geometrically (building n nodes copies O(n^2) cells in all), and
+// multicast recipients share a single refcounted payload buffer — receivers
+// treat payloads as read-only, so a group-wide multicast performs zero
+// per-target deep copies. reachable_set() is cached per (component, group)
+// and invalidated on topology changes.
 //
 // Event lanes (DESIGN.md §15): when the owning Simulator runs in lane mode,
 // every node is assigned to a lane via set_lane() and all wire traffic must
@@ -196,6 +198,10 @@ class Network {
 
   /// Busy-time horizon (for tests).
   SimTime busy_until(NodeId id) const;
+  /// Arrival time of the latest packet sent on the directed link, and the
+  /// row stride of the link-horizon array (for tests).
+  SimTime link_horizon(NodeId from, NodeId to) const;
+  std::size_t link_stride() const { return link_stride_; }
 
   /// Aggregated over lanes (a single lane when lanes are off, so this is
   /// exactly the classic counter set).
@@ -251,7 +257,8 @@ class Network {
   std::vector<NodeState> states_;        ///< dense, insertion-indexed
   std::vector<std::int32_t> dense_;      ///< NodeId -> index into states_ (-1 unknown)
   std::vector<NodeId> ids_sorted_;       ///< all node ids, ascending
-  std::vector<SimTime> link_horizon_;    ///< FIFO per link, [from_idx * n + to_idx]
+  std::vector<SimTime> link_horizon_;    ///< FIFO per link, [from_idx * stride + to_idx]
+  std::size_t link_stride_ = 0;          ///< row stride of link_horizon_, >= states_.size()
   std::vector<SimTime> site_egress_busy_;  ///< WAN serialization per site
   bool lanes_ = false;  ///< set by the first set_lane(); gates lane checks
   /// reachable_set() memo per (component, group), sharded by lane so worker

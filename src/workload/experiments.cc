@@ -654,6 +654,7 @@ SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
     // Single engine group: the pure EVS data path (one sequencer, group-wide
     // multicasts, coalesced acks) with no router in front.
     EngineDeployment dep(replicas_per_shard, seed, /*delayed=*/false, {}, {}, announcements);
+    p.setup_ms = wall_ms_since(wall_start);
     Simulator* sim = &dep.cluster->sim();
     ClosedLoopDriver driver(*sim, sim->now() + warmup, sim->now() + warmup + measure);
     for (int c = 0; c < clients; ++c) driver.add_client(dep.client(c));
@@ -681,6 +682,7 @@ SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
     if (!announcements) o.node.engine.announce_interval = 0;
     ShardedCluster cluster(o);
     cluster.run_for(seconds(2));  // every shard forms its primary component
+    p.setup_ms = wall_ms_since(wall_start);
     Simulator* sim = &cluster.sim();
     ClosedLoopDriver driver(*sim, sim->now() + warmup, sim->now() + warmup + measure);
     // Key pool built once per shard — the drivers copy from it instead of

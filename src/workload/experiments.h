@@ -199,6 +199,7 @@ struct SimScalePoint {
   std::uint64_t events = 0;    ///< simulator events executed, whole run
   std::uint64_t messages = 0;  ///< network messages sent, whole run
   double wall_ms = 0;          ///< host wall clock for the whole run
+  double setup_ms = 0;         ///< host wall clock to build and form the deployment
   double events_per_wall_second = 0;
   double wall_ms_per_sim_second = 0;  ///< wall cost per simulated second
   std::size_t peak_queue_depth = 0;

@@ -3,8 +3,15 @@
 // trimming interplay, and request buffering across state-machine states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <set>
+
 #include "obs_enable.h"  // run every cluster under the online safety checker
+#include "core/exchange_plan.h"
 #include "db/database.h"
+#include "util/rng.h"
 #include "workload/cluster.h"
 
 namespace tordb::core {
@@ -232,6 +239,145 @@ TEST(CoreExchange, LargeDivergenceExchanges) {
   EXPECT_EQ(c.engine(3).database().get("g"), "120");
   EXPECT_EQ(c.engine(0).database().get("r"), "120");
   EXPECT_EQ(c.check_all(), std::nullopt);
+}
+
+// The retransmission plan as the engine computed it before plan_exchange:
+// a std::set of creators and, per (creator, member), a map lookup and a
+// linear scan of the member's cut. Kept here only as the reference.
+ExchangePlan reference_plan(const std::vector<StateMessage>& in_member_order) {
+  std::vector<NodeId> members;
+  std::map<NodeId, StateMessage> state_msgs;
+  for (const StateMessage& s : in_member_order) {
+    members.push_back(s.server_id);
+    state_msgs[s.server_id] = s;
+  }
+  ExchangePlan plan;
+  std::int64_t min_green = std::numeric_limits<std::int64_t>::max(), max_green = -1;
+  NodeId most_updated = kNoNode;
+  for (NodeId m : members) {
+    const StateMessage& s = state_msgs.at(m);
+    min_green = std::min(min_green, s.green_count);
+    if (s.green_count > max_green ||
+        (s.green_count == max_green &&
+         s.white_count < state_msgs.at(most_updated).white_count)) {
+      max_green = s.green_count;
+      most_updated = m;
+    }
+  }
+  const StateMessage& holder_msg = state_msgs.at(most_updated);
+  if (max_green > min_green) {
+    plan.green_source = most_updated;
+    plan.green_lo = min_green;
+    plan.green_hi = max_green;
+    plan.green_snapshot = holder_msg.white_count > min_green;
+    plan.expected += plan.green_snapshot ? 1 : max_green - min_green;
+  }
+  std::set<NodeId> creators;
+  for (const auto& [m, s] : state_msgs) {
+    for (const auto& [c, v] : s.red_cut) creators.insert(c);
+  }
+  auto cut_of = [](const std::vector<std::pair<NodeId, std::int64_t>>& cut, NodeId c) {
+    for (const auto& [n, v] : cut) {
+      if (n == c) return v;
+    }
+    return std::int64_t{0};
+  };
+  for (NodeId c : creators) {
+    std::int64_t cmax = 0, cmin = std::numeric_limits<std::int64_t>::max();
+    NodeId holder = kNoNode;
+    for (NodeId m : members) {
+      const std::int64_t v = cut_of(state_msgs.at(m).red_cut, c);
+      cmin = std::min(cmin, v);
+      if (v > cmax || (v == cmax && holder == kNoNode)) {
+        cmax = v;
+        holder = m;
+      }
+    }
+    if (holder == kNoNode) continue;
+    const std::int64_t lo = std::max(cmin, cut_of(state_msgs.at(holder).green_red_cut, c));
+    if (cmax <= lo) continue;
+    plan.expected += cmax - lo;
+    plan.red.push_back({holder, c, lo, cmax});
+  }
+  return plan;
+}
+
+TEST(CoreExchange, PlanMatchesNestedLoopReference) {
+  // Random state sets of 1-100 members. Small value ranges make ties
+  // common; creators come from a universe wider than the membership
+  // (departed creators) and are missing from some members' cuts.
+  int snapshot_plans = 0, holder_ties = 0, missing_creators = 0, green_floors = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const int n = 1 + static_cast<int>(rng.next_below(100));
+    const std::int64_t cut_range = rng.next_below(2) ? 3 : 40;
+    const std::int64_t green_range = rng.next_below(2) ? 2 : 30;
+    const std::uint64_t keep_percent = 30 + rng.next_below(71);
+    std::vector<NodeId> ids;
+    for (NodeId id = static_cast<NodeId>(rng.next_below(3)); static_cast<int>(ids.size()) < n;
+         id += rng.next_below(4) == 0 ? 2 : 1) {
+      ids.push_back(id);
+    }
+    const NodeId universe = ids.back() + 4;
+    std::vector<StateMessage> msgs;
+    for (NodeId id : ids) {
+      StateMessage s;
+      s.server_id = id;
+      s.green_count = rng.next_range(0, green_range);
+      s.white_count = rng.next_range(0, s.green_count);
+      for (NodeId c = 0; c < universe; ++c) {
+        if (rng.next_below(100) >= keep_percent) continue;
+        const std::int64_t v = rng.next_range(0, cut_range);
+        s.red_cut.emplace_back(c, v);
+        // ActionLog lists the same creators in both cuts; drop some anyway.
+        if (rng.next_below(8) != 0) s.green_red_cut.emplace_back(c, rng.next_range(0, v));
+      }
+      msgs.push_back(std::move(s));
+    }
+    std::vector<const StateMessage*> ptrs;
+    for (const StateMessage& s : msgs) ptrs.push_back(&s);
+    const ExchangePlan want = reference_plan(msgs);
+    const ExchangePlan got = plan_exchange(ptrs);
+    ASSERT_EQ(got, want) << "seed " << seed << " members " << n;
+
+    // Coverage of the branches the reference distinguishes.
+    if (want.green_snapshot) ++snapshot_plans;
+    std::map<NodeId, std::vector<std::int64_t>> cuts;  // creator -> cut per member
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      for (const auto& [c, v] : msgs[i].red_cut) {
+        cuts.try_emplace(c, msgs.size(), 0).first->second[i] = v;
+      }
+    }
+    for (const StateMessage& s : msgs) {
+      missing_creators += static_cast<int>(cuts.size() - s.red_cut.size());
+    }
+    for (const auto& [c, per_member] : cuts) {
+      const std::int64_t top = *std::max_element(per_member.begin(), per_member.end());
+      if (top > 0 && std::count(per_member.begin(), per_member.end(), top) > 1) ++holder_ties;
+    }
+    for (const ExchangePlan::RedRange& r : want.red) {
+      const std::vector<std::int64_t>& per_member = cuts.at(r.creator);
+      if (r.lo > *std::min_element(per_member.begin(), per_member.end())) ++green_floors;
+    }
+  }
+  EXPECT_GT(snapshot_plans, 0);
+  EXPECT_GT(holder_ties, 0);
+  EXPECT_GT(missing_creators, 0);
+  EXPECT_GT(green_floors, 0);
+}
+
+TEST(CoreExchange, PlanOfIdenticalStatesIsEmpty) {
+  StateMessage a;
+  a.server_id = 3;
+  a.green_count = 7;
+  a.white_count = 2;
+  a.red_cut = {{1, 4}, {3, 9}};
+  a.green_red_cut = {{1, 4}, {3, 5}};
+  StateMessage b = a;
+  b.server_id = 5;
+  const std::vector<const StateMessage*> members = {&a, &b};
+  EXPECT_EQ(plan_exchange(members), ExchangePlan{});
+  EXPECT_EQ(plan_exchange({}), ExchangePlan{});
 }
 
 }  // namespace

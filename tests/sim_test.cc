@@ -343,6 +343,77 @@ TEST_F(NetworkTest, StatsCount) {
   EXPECT_GE(net_.stats().messages_dropped, 1u);
 }
 
+TEST_F(NetworkTest, LinkHorizonsSurviveStrideRegrowth) {
+  // Packets in flight on every link among the first four nodes; 0 -> 1
+  // carries a large one, so a later small packet on that link would
+  // overtake it if its horizon were lost.
+  net_.send(0, 1, Bytes(10000, 7));
+  for (NodeId f : {0, 1, 2, 3}) {
+    for (NodeId t : {0, 1, 2, 3}) {
+      if (f != 0 || t != 1) net_.send(f, t, payload({1}));
+    }
+  }
+  SimTime before[4][4];
+  for (NodeId f = 0; f < 4; ++f) {
+    for (NodeId t = 0; t < 4; ++t) {
+      before[f][t] = net_.link_horizon(f, t);
+      ASSERT_GT(before[f][t], 0) << f << "->" << t;
+    }
+  }
+  // Grow until the row stride has been regrown at least twice; sparse ids
+  // exercise the id -> index table too.
+  const std::size_t stride0 = net_.link_stride();
+  std::vector<NodeId> added;
+  int regrowths = 0;
+  for (NodeId id = 10; regrowths < 2; id += 3) {
+    const std::size_t s = net_.link_stride();
+    net_.add_node(id);
+    net_.set_packet_handler(id, [this, id](NodeId from, const Bytes& p) {
+      received_.push_back({id, from, p});
+    });
+    added.push_back(id);
+    if (net_.link_stride() != s) ++regrowths;
+  }
+  EXPECT_GE(net_.link_stride(), 4 * stride0);
+  for (NodeId f = 0; f < 4; ++f) {
+    for (NodeId t = 0; t < 4; ++t) EXPECT_EQ(net_.link_horizon(f, t), before[f][t]) << f << "->" << t;
+  }
+  for (NodeId id : added) {
+    EXPECT_EQ(net_.link_horizon(0, id), 0);
+    EXPECT_EQ(net_.link_horizon(id, 1), 0);
+  }
+  // The same link again, by unicast and by multicast: both queue behind
+  // the large packet.
+  net_.send(0, 1, payload({2}));
+  net_.multicast(0, {1, added.back()}, payload({3}));
+  sim_.run();
+  std::vector<std::uint8_t> on_link;
+  for (const Recv& r : received_) {
+    if (r.at == 1 && r.from == 0) on_link.push_back(r.payload.size() == 10000 ? 0 : r.payload[0]);
+  }
+  EXPECT_EQ(on_link, (std::vector<std::uint8_t>{0, 2, 3}));
+  const auto at_new = std::count_if(received_.begin(), received_.end(),
+                                    [&](const Recv& r) { return r.at == added.back(); });
+  EXPECT_EQ(at_new, 1);
+}
+
+TEST(NetworkStandalone, LinkStrideGrowsGeometrically) {
+  // Regrowing the link-horizon array per added node copies O(n^2) cells
+  // each time, O(n^3) to build a deployment; a geometric stride keeps the
+  // regrowths logarithmic in n.
+  Simulator sim(1);
+  Network net(sim);
+  int regrowths = 0;
+  for (NodeId n = 0; n < 1000; ++n) {
+    const std::size_t s = net.link_stride();
+    net.add_node(n);
+    if (net.link_stride() != s) ++regrowths;
+  }
+  EXPECT_GE(net.link_stride(), 1000u);
+  EXPECT_LE(net.link_stride(), 2000u);
+  EXPECT_LE(regrowths, 11);  // ceil(log2(1000)) + 1
+}
+
 TEST(NetworkStandalone, MulticastReachesAllListed) {
   Simulator sim(1);
   Network net(sim);
