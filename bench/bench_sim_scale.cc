@@ -23,12 +23,16 @@
 //
 // Both modes run the 1x100 group twice, with green-line announcements on
 // and off, and fail if announcements cost it more than 5% of its simulated
-// throughput (DESIGN.md §14), or if it falls below 4,900 green/s (~82% of
-// the 6,002 it runs at): it ran at 1,137 while every member acked to all
+// throughput (DESIGN.md §14), or if it falls below 5,650 green/s (~82% of
+// the 6,910 it runs at): it ran at 1,137 while every member acked to all
 // 99 others, at 2,750 while the sequencer received its own traffic back
-// over loopback and at 5,036 while the sequencer sat in an ack cluster, so
-// the floor keeps all three costs from returning (clustered acks, in-place
-// sequencing and a sequencer outside the clusters, DESIGN.md §1).
+// over loopback, at 5,036 while the sequencer sat in an ack cluster and at
+// 6,002 while the sequencer sent one ORDERED frame per packet, so the floor
+// keeps all four costs from returning (clustered acks, in-place sequencing,
+// a sequencer outside the clusters and packed ORDERED frames, DESIGN.md
+// §1). The 1x48 group, where the sequencer's move out of the clusters cost
+// up to 18% unnoticed, must keep 3,550 green/s (~90% of the 3,958 it runs
+// at; 3,280 with one frame per packet).
 //
 // --smoke (or TORDB_BENCH_FAST=1) runs a reduced sweep and enforces a
 // wall-clock budget (default 90 s, TORDB_SIM_SCALE_BUDGET_MS to override):
@@ -87,16 +91,18 @@ int main(int argc, char** argv) {
     measure = seconds(1);
   }
 
-  std::printf("%14s | %3s | %8s | %9s | %10s | %9s | %8s | %10s | %6s | %7s | %6s | %7s\n",
+  std::printf("%14s | %3s | %8s | %9s | %10s | %9s | %8s | %10s | %6s | %7s | %6s | %7s | %6s | "
+              "%6s\n",
               "config", "thr", "green/s", "events", "ev/wall-s", "wall", "setup", "ms/sim-s",
-              "peakQ", "copyMB", "cache%", "speedup");
-  bench::row_sep(129);
+              "peakQ", "copyMB", "cache%", "speedup", "memCPU", "seqCPU");
+  bench::row_sep(147);
 
   bench::Stopwatch total;
   bench::JsonRows json;
   bool identical = true;
   double speedup_at_16 = 0;  // best 8-thread speedup at >= 16 shards
   double group100_on = 0, group100_off = 0;  // 1x100 green/s, announcements on/off
+  double group48 = 0;                         // 1x48 green/s
   for (const Config& c : sweep) {
     const int total_replicas = c.shards * c.replicas_per_shard;
     // Clients: one closed-loop writer per replica, capped so the 100-shard
@@ -115,6 +121,7 @@ int main(int argc, char** argv) {
       if (c.shards == 1 && c.replicas_per_shard == 100) {
         (c.announce ? group100_on : group100_off) = p.green_per_second;
       }
+      if (c.shards == 1 && c.replicas_per_shard == 48) group48 = p.green_per_second;
       const std::uint64_t lookups = p.reachable_cache_hits + p.reachable_cache_misses;
       if (t == threads.front()) {
         wall_1t = p.wall_ms;
@@ -140,8 +147,16 @@ int main(int argc, char** argv) {
       char label[32];
       std::snprintf(label, sizeof(label), "%dx%d (%d)%s", c.shards, c.replicas_per_shard,
                     total_replicas, c.announce ? "" : " off");
+      // CPU utilisation is a single-group column: a sharded row's busiest
+      // replica says nothing about one shard's cap.
+      char member_cpu[16] = "-", sequencer_cpu[16] = "-";
+      if (c.shards == 1) {
+        std::snprintf(member_cpu, sizeof(member_cpu), "%.1f%%", 100.0 * p.member_cpu_util);
+        std::snprintf(sequencer_cpu, sizeof(sequencer_cpu), "%.1f%%",
+                      100.0 * p.sequencer_cpu_util);
+      }
       std::printf("%14s | %3d | %8.0f | %9llu | %10.0f | %7.0fms | %6.0fms | %10.1f | %6zu | "
-                  "%7.2f | %5.0f%% | %6.2fx\n",
+                  "%7.2f | %5.0f%% | %6.2fx | %6s | %6s\n",
                   label, p.sim_threads, p.green_per_second,
                   static_cast<unsigned long long>(p.events), p.events_per_wall_second, p.wall_ms,
                   p.setup_ms, p.wall_ms_per_sim_second, p.peak_queue_depth,
@@ -149,7 +164,7 @@ int main(int argc, char** argv) {
                   lookups ? 100.0 * static_cast<double>(p.reachable_cache_hits) /
                                 static_cast<double>(lookups)
                           : 0.0,
-                  speedup);
+                  speedup, member_cpu, sequencer_cpu);
       json.begin_row();
       json.field("shards", p.shards);
       json.field("replicas_per_shard", p.replicas_per_shard);
@@ -168,6 +183,8 @@ int main(int argc, char** argv) {
       json.field("lane_windows", p.lane_windows);
       json.field("lane_handoffs", p.lane_handoffs);
       json.field("speedup_vs_1t", speedup);
+      json.field("member_cpu_util", p.member_cpu_util);
+      json.field("sequencer_cpu_util", p.sequencer_cpu_util);
     }
   }
   const double total_wall_ms = total.ms();
@@ -176,7 +193,9 @@ int main(int argc, char** argv) {
               "deployment and form its primary components, part of wall; ms/sim-s: host "
               "milliseconds per simulated second; copyMB: payload bytes deep-copied on the send "
               "path; cache%%: reachable_set cache hit rate; speedup: wall(1 lane thread) / "
-              "wall(N), simulated results bit-identical across lane rows)\n");
+              "wall(N), simulated results bit-identical across lane rows; memCPU / seqCPU: "
+              "single groups only, share of the window the busiest member other than the "
+              "sequencer / the sequencer spent receiving and sending, sim clock)\n");
   std::printf("total wall clock: %.0f ms\n", total_wall_ms);
   json.write("BENCH_simscale.json");
 
@@ -190,13 +209,21 @@ int main(int argc, char** argv) {
                          "throughput\n");
     return 1;
   }
-  constexpr double kGroup100Floor = 4900.0;
+  constexpr double kGroup100Floor = 5650.0;
   if (group100_on < kGroup100Floor) {
     std::fprintf(stderr,
                  "FAIL: the 1x100 group ran at %.1f green/s (< %.0f): stability traffic "
-                 "per member grows with the group again, or the sequencer receives its "
-                 "own traffic or stability traffic\n",
+                 "per member grows with the group again, the sequencer receives its "
+                 "own traffic or stability traffic, or it no longer packs ORDERED frames\n",
                  group100_on, kGroup100Floor);
+    return 1;
+  }
+  constexpr double kGroup48Floor = 3550.0;
+  if (group48 < kGroup48Floor) {
+    std::fprintf(stderr,
+                 "FAIL: the 1x48 group ran at %.1f green/s (< %.0f): the sequencer sends one "
+                 "ORDERED frame per packet again, or mid-size groups' stability slowed\n",
+                 group48, kGroup48Floor);
     return 1;
   }
   // The scaling criterion needs hardware to scale onto: enforce it only

@@ -87,7 +87,8 @@ void GroupCommunication::send_data(const OutEntry& entry) {
       const auto i = static_cast<std::size_t>(local_seq - outbox_.front().local_seq);
       if (i >= outbox_.size()) return;
       const OutEntry& e = outbox_[i];
-      order(id_, e.local_seq, e.service, e.payload.data(), e.payload.size());
+      order_or_hold(
+          HeldMsg{id_, e.local_seq, e.service, nullptr, e.payload.data(), e.payload.size()});
     });
     return;
   }
@@ -106,10 +107,13 @@ void GroupCommunication::send_data(const OutEntry& entry) {
 void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Bytes>& wire) {
   BufReader r(*wire);
   const auto type = static_cast<MsgType>(r.u8());
+  // The sequencer holds a message for one receipt only: any receipt but a
+  // DATA sends what it holds before it runs.
+  if (type != MsgType::kData) send_held();
   switch (type) {
     case MsgType::kData:
       ++stats_.data_received;
-      handle_data(from, r);
+      handle_data(r, wire);
       break;
     case MsgType::kOrdered:
       ++stats_.ordered_received;
@@ -136,8 +140,7 @@ void GroupCommunication::on_packet(NodeId from, const std::shared_ptr<const Byte
 // Data path
 // --------------------------------------------------------------------------
 
-void GroupCommunication::handle_data(NodeId from, BufReader& r) {
-  (void)from;
+void GroupCommunication::handle_data(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
   // Decode the DATA header in place; the payload bytes are re-framed
   // straight from the incoming wire into the ORDERED wire and never
   // materialized as a standalone buffer.
@@ -145,33 +148,68 @@ void GroupCommunication::handle_data(NodeId from, BufReader& r) {
   const NodeId origin = r.i32();
   const std::int64_t local_seq = r.i64();
   const auto service = static_cast<Service>(r.u8());
-  if (state_ != GcState::kOperational || config != config_.id) return;  // sender resends
-  if (!is_sequencer()) return;
+  if (state_ != GcState::kOperational || config != config_.id || !is_sequencer()) {
+    send_held();  // a receipt that orders nothing still ends the hold
+    return;       // the sender resends in its next configuration
+  }
   const auto [payload, payload_len] = r.bytes_view();
-  order(origin, local_seq, service, payload, payload_len);
+  order_or_hold(HeldMsg{origin, local_seq, service, wire, payload, payload_len});
 }
 
-void GroupCommunication::order(NodeId origin, std::int64_t local_seq, Service service,
-                               const std::uint8_t* payload, std::size_t len) {
-  // Same layout as encode(OrderedMsg{...}).
+void GroupCommunication::order_or_hold(HeldMsg&& m) {
+  held_.push_back(std::move(m));
+  // Above one ack cluster every member's CPU is the cap, and a member pays
+  // the per-message receive cost once per packet: while another receipt
+  // waits on this CPU, hold the message for it (DESIGN.md §1.2). A group of
+  // one cluster sends every message at once, one frame per packet.
+  const std::size_t cap = cluster_origin_ == 1 ? kPackFrames : 1;
+  if (held_.size() < cap && net_.receipt_queued(id_)) {
+    arm_hold_timer(++hold_gen_);
+    return;
+  }
+  send_held();
+}
+
+void GroupCommunication::arm_hold_timer(std::uint64_t gen) {
+  // The next gc receipt sends the held messages. Should the next receipt be
+  // another channel's, or dropped as it runs, poll at the shortest receipt
+  // cost until the CPU is idle.
+  schedule(net_.params().proc_per_message, [this, gen] {
+    if (gen != hold_gen_ || held_.empty()) return;
+    if (net_.receipt_queued(id_)) {
+      arm_hold_timer(gen);
+    } else {
+      send_held();
+    }
+  });
+}
+
+void GroupCommunication::send_held() {
+  if (held_.empty()) return;
+  assert(state_ == GcState::kOperational && is_sequencer());
+  // Sequence numbers are assigned as the packet leaves. Each frame has the
+  // layout of encode(OrderedMsg{...}); the packet lays them back to back.
   BufWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kOrdered));
-  w.config_id(config_.id);
-  w.i64(++global_seq_);
-  w.i32(origin);
-  w.i64(local_seq);
-  w.u8(static_cast<std::uint8_t>(service));
-  w.bytes_view(payload, len);
-  ++stats_.messages_ordered;
+  for (const HeldMsg& m : held_) {
+    w.u8(static_cast<std::uint8_t>(MsgType::kOrdered));
+    w.config_id(config_.id);
+    w.i64(++global_seq_);
+    w.i32(m.origin);
+    w.i64(m.local_seq);
+    w.u8(static_cast<std::uint8_t>(m.service));
+    w.bytes_view(m.payload, m.len);
+  }
+  stats_.messages_ordered += held_.size();
+  held_.clear();
   auto wire = std::make_shared<const Bytes>(w.take());
   net_.multicast(id_, others_, wire);
-  // The sequencer buffers the frame it sent instead of receiving it back
-  // over loopback. Storing it on a zero-delay event keeps deliveries out of
-  // the caller: run_install re-sends the outbox before it announces the new
-  // configuration. The store keeps the frame even if a gather started at
-  // this instant, so the sequencer holds every frame it orders before any
-  // member can (DESIGN.md §1.1 rests on it); only a configuration change in
-  // between, which needs a whole flush, drops it.
+  // The sequencer buffers the frames it sent instead of receiving them back
+  // over loopback. Storing them on a zero-delay event keeps deliveries out
+  // of the caller: run_install re-sends the outbox before it announces the
+  // new configuration. The store keeps the frames even if a gather started
+  // at this instant, so the sequencer holds every frame it orders before
+  // any member can (DESIGN.md §1.1 rests on it); only a configuration
+  // change in between, which needs a whole flush, drops them.
   schedule(0, [this, wire = std::move(wire)] {
     BufReader r(*wire);
     r.u8();  // kOrdered
@@ -184,19 +222,27 @@ void GroupCommunication::handle_ordered(BufReader& r, const std::shared_ptr<cons
 }
 
 void GroupCommunication::buffer_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire) {
-  // Decode the ORDERED header in place (same layout as decode_ordered) and
-  // buffer the payload as a slice of the shared wire — every recipient of
-  // the multicast holds the same refcounted buffer, zero deep copies.
-  const ConfigId config = r.config_id();
-  const std::int64_t seq = r.i64();
-  const NodeId origin = r.i32();
-  const std::int64_t origin_local_seq = r.i64();
-  const auto service = static_cast<Service>(r.u8());
-  if (config != config_.id) return;
-  const auto [payload, payload_len] = r.bytes_view();
-  const auto off = static_cast<std::uint32_t>(payload - wire->data());
-  store_buffered(seq, BufferedMsg{origin, origin_local_seq, service, wire, off,
-                                  static_cast<std::uint32_t>(payload_len)});
+  // A packet is one or more ORDERED frames back to back, all of one
+  // configuration. Decode each header in place (same layout as
+  // decode_ordered) and buffer the payload as a slice of the shared wire —
+  // every recipient of the multicast holds the same refcounted buffer, zero
+  // deep copies. Deliveries wait until the whole packet is stored.
+  std::uint64_t frames = 0;
+  do {
+    if (frames++ > 0) r.u8();  // kOrdered
+    const ConfigId config = r.config_id();
+    const std::int64_t seq = r.i64();
+    const NodeId origin = r.i32();
+    const std::int64_t origin_local_seq = r.i64();
+    const auto service = static_cast<Service>(r.u8());
+    if (config != config_.id) return;
+    const auto [payload, payload_len] = r.bytes_view();
+    const auto off = static_cast<std::uint32_t>(payload - wire->data());
+    store_buffered(seq, BufferedMsg{origin, origin_local_seq, service, wire, off,
+                                    static_cast<std::uint32_t>(payload_len)});
+  } while (!r.done());
+  stats_.max_frames_per_packet = std::max(stats_.max_frames_per_packet, frames);
+  advance_contig();
 }
 
 GroupCommunication::BufferedMsg* GroupCommunication::buffered(std::int64_t seq) {
@@ -231,6 +277,7 @@ void GroupCommunication::store_ordered(OrderedMsg&& msg) {
   const auto len = static_cast<std::uint32_t>(buf->size());
   store_buffered(msg.seq, BufferedMsg{msg.origin, msg.origin_local_seq, msg.service,
                                       std::move(buf), 0, len});
+  advance_contig();
 }
 
 void GroupCommunication::store_buffered(std::int64_t seq, BufferedMsg&& m) {
@@ -240,6 +287,9 @@ void GroupCommunication::store_buffered(std::int64_t seq, BufferedMsg&& m) {
     return;
   }
   buffer_put(seq, std::move(m));
+}
+
+void GroupCommunication::advance_contig() {
   bool advanced = false;
   while (buffered(recv_contig_ + 1)) {
     ++recv_contig_;
@@ -470,6 +520,7 @@ void GroupCommunication::start_gather(const std::vector<NodeId>& reachable) {
   plan_acks_.clear();
   built_plan_.reset();
   install_sent_ = false;
+  held_.clear();  // no sequence number yet: the senders resend them
   touch_progress();
 
   if (!reachable.empty() && reachable.front() == id_) {
@@ -569,7 +620,7 @@ void GroupCommunication::handle_inquire(NodeId from, const InquireMsg& msg) {
   if (!accept) return;
 
   if (state_ == GcState::kOperational) {
-    state_ = GcState::kGathering;
+    state_ = GcState::kGathering;  // on_packet sent what the sequencer held
     arm_stuck_timer();
   }
   committed_ = msg.token;

@@ -9,7 +9,15 @@
 //                   members. The sequencer's own data path stays in place:
 //                   it orders its own multicasts without sending itself
 //                   DATA and buffers the ORDERED frames it sends instead of
-//                   receiving them back (DESIGN.md §1.2). Stability is
+//                   receiving them back (DESIGN.md §1.2). Above 16 members
+//                   it packs back-to-back messages into one packet: while
+//                   another receipt is queued on its CPU it holds a message
+//                   (no sequence number yet) until that receipt runs, a
+//                   second one is held or the CPU is idle, then sends the
+//                   held ones as <= 2 ORDERED frames back to back, so a
+//                   member pays the per-message receive cost once per
+//                   packet; a gather drops what it holds and the senders
+//                   re-send it (DESIGN.md §1.2). Stability is
 //                   aggregated in two levels. The sorted members split into
 //                   *ack clusters* of 16 consecutive positions; members
 //                   multicast coalesced ACKs of their contiguous prefix to
@@ -100,6 +108,7 @@ struct GcStats {
   std::uint64_t resent_after_install = 0;
   std::uint64_t data_received = 0;     ///< DATA packets (sequencer role)
   std::uint64_t ordered_received = 0;  ///< ORDERED packets from the sequencer
+  std::uint64_t max_frames_per_packet = 0;  ///< most ORDERED frames one packet carried
   std::uint64_t acks_sent = 0;         ///< ACK multicasts to cluster peers
   std::uint64_t acks_received = 0;     ///< ACK packets from cluster peers
   std::uint64_t stables_received = 0;  ///< STABLE packets from other clusters' leaders
@@ -177,15 +186,31 @@ class GroupCommunication {
   void send_to(NodeId to, Bytes wire);
   void send_all(const std::vector<NodeId>& to, Bytes wire);
 
+  /// A message the sequencer holds for one more receipt before ordering it
+  /// (DESIGN.md §1.2). It has no sequence number yet. The payload is a view
+  /// of the DATA wire it came in on (kept alive by `wire`) or of the
+  /// sequencer's own outbox entry (`wire` null).
+  struct HeldMsg {
+    NodeId origin = kNoNode;
+    std::int64_t local_seq = 0;
+    Service service = Service::kAgreed;
+    std::shared_ptr<const Bytes> wire;
+    const std::uint8_t* payload = nullptr;
+    std::size_t len = 0;
+  };
+
   // --- data path ------------------------------------------------------
-  void handle_data(NodeId from, BufReader& r);
+  void handle_data(BufReader& r, const std::shared_ptr<const Bytes>& wire);
   void handle_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
-  /// Store an ORDERED frame of the current configuration, whatever the state.
+  /// Store the ORDERED frames of a packet of the current configuration,
+  /// whatever the state. `r` stands after the first frame's type byte.
   void buffer_ordered(BufReader& r, const std::shared_ptr<const Bytes>& wire);
   void handle_ack(NodeId from, const AckMsg& msg);
   void handle_stable(NodeId from, const StableMsg& msg);
   void store_ordered(OrderedMsg&& msg);
   void store_buffered(std::int64_t seq, BufferedMsg&& m);
+  /// Advance recv_contig_ over the buffered frames and react if it moved.
+  void advance_contig();
   void try_deliver();
   void deliver_one(std::int64_t seq, DeliveryKind kind);
   void emit_config(const Configuration& c);
@@ -201,10 +226,16 @@ class GroupCommunication {
   /// Send a local multicast: DATA to the sequencer, or, on the sequencer,
   /// order it in place.
   void send_data(const OutEntry& entry);
-  /// Sequencer only: assign the next sequence number, multicast the ORDERED
-  /// frame to the other members and buffer the same frame locally.
-  void order(NodeId origin, std::int64_t local_seq, Service service,
-             const std::uint8_t* payload, std::size_t len);
+  /// Sequencer only: hold `m` while another receipt is queued on this CPU
+  /// and the packet has room, else send what is held.
+  void order_or_hold(HeldMsg&& m);
+  /// Sequencer only: assign the next sequence numbers to the held messages,
+  /// multicast their ORDERED frames back to back in one packet to the other
+  /// members and buffer the same frames locally.
+  void send_held();
+  /// Send the held messages once the CPU is idle, should no receipt of the
+  /// gc channel run first (hold generation `gen` only).
+  void arm_hold_timer(std::uint64_t gen);
   bool is_sequencer() const { return !config_.members.empty() && config_.members.front() == id_; }
 
   // --- membership (flush) ----------------------------------------------
@@ -252,6 +283,10 @@ class GroupCommunication {
   /// the sequencer receives ceil((n-1)/16) stability messages per ack
   /// interval and every other member <= 15 + ceil((n-1)/16)-1.
   static constexpr std::size_t kAckCluster = 16;
+  /// Most ORDERED frames the sequencer packs into one packet when it stands
+  /// outside the clusters (1 otherwise, today's one frame per packet).
+  /// Fixed, not a knob: 2 measured best on group100 (DESIGN.md §1.2).
+  static constexpr std::size_t kPackFrames = 2;
   /// Position of the first clustered member: 0 in a group of one cluster,
   /// 1 in a larger one, whose sequencer stands outside the clusters.
   std::size_t cluster_origin_ = 0;
@@ -264,6 +299,10 @@ class GroupCommunication {
   std::size_t self_pos_ = 0;
   /// config_.members without this node: the sequencer's ORDERED recipients.
   std::vector<NodeId> others_;
+  /// Messages held for the next packet (< kPackFrames between events) and
+  /// the generation of the latest hold, which retires older hold timers.
+  std::vector<HeldMsg> held_;
+  std::uint64_t hold_gen_ = 0;
   /// Own cluster's contig knowledge, indexed by position - cluster_begin_;
   /// the own slot tracks recv_contig_. A sequencer outside the clusters is
   /// a cluster of itself (begin 0, one slot).

@@ -206,7 +206,10 @@ std::vector<NodeId> Network::node_ids() const { return ids_sorted_; }
 void Network::charge(NodeId id, SimDuration d) {
   NodeState& s = state(id);
   s.busy_until = std::max(s.busy_until, sim_.now()) + d;
+  s.cpu_busy += d;
 }
+
+bool Network::receipt_queued(NodeId id) const { return state(id).last_receipt > sim_.now(); }
 
 SimTime Network::busy_until(NodeId id) const { return state(id).busy_until; }
 
@@ -338,6 +341,8 @@ void Network::deliver(NodeId from, NodeId to, std::uint64_t to_epoch, Channel ch
                            params_.proc_per_byte * static_cast<SimDuration>(payload->size());
   const SimTime start = std::max(sim_.now(), dst.busy_until);
   dst.busy_until = start + cost;
+  dst.last_receipt = dst.busy_until;
+  dst.cpu_busy += cost;
   // u32 indices (and 8-aligned captures first) keep this closure within
   // SmallFn's inline budget — the static_assert below pins that.
   const auto fi32 = static_cast<std::uint32_t>(fi);
@@ -404,6 +409,7 @@ void Network::crash(NodeId id) {
   s.up = false;
   ++s.epoch;       // all in-flight traffic to this node is dropped
   s.busy_until = 0;
+  s.last_receipt = 0;
   // The crashed node's queued cross-site traffic dies with it: release the
   // site's WAN egress so post-recovery sends don't serialize behind bytes
   // that were never put on the wire.

@@ -196,6 +196,17 @@ class Network {
   /// Charge `d` of CPU time to node `id`; subsequent deliveries queue after.
   void charge(NodeId id, SimDuration d);
 
+  /// True while a receipt is queued beyond now on `id`'s CPU: the model's
+  /// "the socket has another datagram". A handler reads it to learn whether
+  /// more input waits behind the packet it is handling (the gc sequencer
+  /// packs back-to-back DATA into one ORDERED packet on it). Send costs
+  /// charged to the CPU do not count. Reads only `id`'s own node state, so
+  /// it is safe from the node's lane.
+  bool receipt_queued(NodeId id) const;
+  /// Simulated CPU time `id` has spent receiving and sending since it was
+  /// added (sim clock, exact): the numerator of its utilisation.
+  SimDuration cpu_busy(NodeId id) const { return state(id).cpu_busy; }
+
   /// Busy-time horizon (for tests).
   SimTime busy_until(NodeId id) const;
   /// Arrival time of the latest packet sent on the directed link, and the
@@ -223,6 +234,8 @@ class Network {
     int lane = 0;   ///< simulator event lane (lane mode only)
     std::uint64_t epoch = 0;  ///< bumped on crash; stale deliveries dropped
     SimTime busy_until = 0;
+    SimTime last_receipt = 0;  ///< time of the latest receipt queued on the CPU
+    SimDuration cpu_busy = 0;  ///< receive + send CPU time charged, whole run
     Simulator::Stream rx;  ///< CPU receipts: scheduled at busy_until, so FIFO
     bool notify_pending = false;
     PacketHandler on_packet[kNumChannels];

@@ -658,8 +658,24 @@ SimScalePoint measure_sim_scale(int shards, int replicas_per_shard, int clients,
     Simulator* sim = &dep.cluster->sim();
     ClosedLoopDriver driver(*sim, sim->now() + warmup, sim->now() + warmup + measure);
     for (int c = 0; c < clients; ++c) driver.add_client(dep.client(c));
-    sim->after(warmup, [&] { green_start = max_green(*dep.cluster); });
-    sim->after(warmup + measure, [&] { green_end = max_green(*dep.cluster); });
+    Network& net = dep.cluster->net();
+    std::vector<SimDuration> busy_start;
+    auto busy = [&net](int i) { return net.cpu_busy(static_cast<NodeId>(i)); };
+    sim->after(warmup, [&] {
+      green_start = max_green(*dep.cluster);
+      for (int i = 0; i < replicas_per_shard; ++i) busy_start.push_back(busy(i));
+    });
+    sim->after(warmup + measure, [&] {
+      green_end = max_green(*dep.cluster);
+      auto util = [&](int i) {
+        return static_cast<double>(busy(i) - busy_start[static_cast<std::size_t>(i)]) /
+               static_cast<double>(measure);
+      };
+      p.sequencer_cpu_util = util(0);
+      for (int i = 1; i < replicas_per_shard; ++i) {
+        p.member_cpu_util = std::max(p.member_cpu_util, util(i));
+      }
+    });
     dep.cluster->run_for(warmup + measure + millis(200));
     completed = driver.completed_in_window();
     capture(*sim, dep.cluster->net().stats());

@@ -211,6 +211,13 @@ struct SimScalePoint {
   // cross-lane handoffs committed over the whole run.
   std::uint64_t lane_windows = 0;
   std::uint64_t lane_handoffs = 0;
+  // "Why is it slow", single-group runs only (sim clock, exact; 0 when
+  // sharded): the share of the measurement window the busiest member's CPU
+  // other than the sequencer (node 0) spent receiving and sending, and the
+  // sequencer's share. A receipt is charged when it queues, so a CPU with a
+  // growing backlog reads above 1.
+  double member_cpu_util = 0;
+  double sequencer_cpu_util = 0;
 };
 
 /// Simulator-scale probe: drives a closed-loop put workload over either one

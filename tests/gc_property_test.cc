@@ -18,6 +18,9 @@ struct Scenario {
   std::uint64_t seed;
   int nodes;
   bool crashes;
+  /// Bursts of n/2..n multicasts, which back the sequencer's queue up so
+  /// that it packs two frames into one ORDERED packet; asserted to happen.
+  bool saturate = false;
 };
 
 class GcRandomSchedule : public ::testing::TestWithParam<Scenario> {};
@@ -42,11 +45,13 @@ TEST_P(GcRandomSchedule, InvariantsHoldAndConverge) {
 
   std::set<NodeId> down;
   std::int64_t k = 0;
+  bool packed = false;
   for (int step = 0; step < 60; ++step) {
     const int what = static_cast<int>(rng.next_below(10));
     if (what < 5) {
       // burst of traffic from random up nodes
-      const int burst = static_cast<int>(rng.next_range(1, 8));
+      const int burst = sc.saturate ? static_cast<int>(rng.next_range(sc.nodes / 2, sc.nodes))
+                                    : static_cast<int>(rng.next_range(1, 8));
       for (int b = 0; b < burst; ++b) {
         const NodeId n = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(sc.nodes)));
         if (!down.count(n)) {
@@ -69,6 +74,12 @@ TEST_P(GcRandomSchedule, InvariantsHoldAndConverge) {
       down.erase(n);
     }
     c.run_for(millis(static_cast<std::int64_t>(rng.next_range(1, 120))));
+    for (NodeId n : all) {
+      if (c.has_gc(n) && c.gc(n).stats().max_frames_per_packet > 1) packed = true;
+    }
+  }
+  if (sc.saturate) {
+    EXPECT_TRUE(packed) << "seed " << sc.seed << ": no ORDERED packet was packed";
   }
 
   // Quiesce: recover everyone, heal, and let the system settle.
@@ -105,6 +116,11 @@ std::vector<Scenario> scenarios() {
   for (int nodes : {20, 30, 40, 64, 100}) {
     for (int i = 0; i < 6; ++i, ++seed) v.push_back({seed, nodes, i >= 3});
   }
+  // Saturating bursts: the sequencer outside the clusters packs back-to-back
+  // DATA into one ORDERED packet, under partitions and, in half, crashes.
+  for (int nodes : {20, 40, 100}) {
+    for (int i = 0; i < 2; ++i, ++seed) v.push_back({seed, nodes, i == 1, true});
+  }
   return v;
 }
 
@@ -112,7 +128,8 @@ INSTANTIATE_TEST_SUITE_P(Schedules, GcRandomSchedule, ::testing::ValuesIn(scenar
                          [](const ::testing::TestParamInfo<Scenario>& info) {
                            return "seed" + std::to_string(info.param.seed) + "_n" +
                                   std::to_string(info.param.nodes) +
-                                  (info.param.crashes ? "_crash" : "");
+                                  (info.param.crashes ? "_crash" : "") +
+                                  (info.param.saturate ? "_saturated" : "");
                          });
 
 }  // namespace

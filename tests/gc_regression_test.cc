@@ -493,5 +493,133 @@ TEST(GcRegression, LeaverFlushesItsAckBeforeTeardown) {
   c.check_all_invariants();
 }
 
+/// Every `period`, every member multicasts one safe message, for `d`.
+void every_member_sends(GcCluster& c, NodeId nodes, std::int64_t& k, SimDuration period,
+                        SimDuration d) {
+  for (SimDuration t = 0; t < d; t += period) {
+    ++k;
+    for (NodeId n = 0; n < nodes; ++n) c.multicast(n, k);
+    c.run_for(period);
+  }
+}
+
+TEST(GcRegression, SaturatedLargeGroupPacksOrderedFrames) {
+  // Above one ack cluster the sequencer holds a message while another
+  // receipt waits on its CPU, and sends up to two frames in one ORDERED
+  // packet, so a member pays the per-message receive cost once per packet.
+  // Every member of a 100-member group multicasting every 10 ms backs the
+  // sequencer's queue up: members receive fewer packets than they deliver
+  // messages, and no packet holds more than two frames. A 14-member group
+  // under the same per-member load is one cluster and receives exactly one
+  // packet per message.
+  for (const NodeId nodes : {NodeId{100}, NodeId{14}}) {
+    GcCluster c(nodes);
+    std::vector<NodeId> all;
+    for (NodeId n = 0; n < nodes; ++n) all.push_back(n);
+    c.run_for(millis(500));
+    ASSERT_TRUE(c.converged(all));
+    std::vector<GcStats> before;
+    for (NodeId n : all) before.push_back(c.gc(n).stats());
+    std::int64_t k = 0;
+    every_member_sends(c, nodes, k, millis(10), millis(100));
+    c.run_for(seconds(1));  // drain the backlog
+    const auto sent = static_cast<std::uint64_t>(k * nodes);
+    for (NodeId n : all) {
+      const GcStats& now = c.gc(n).stats();
+      const GcStats& was = before[static_cast<std::size_t>(n)];
+      const std::uint64_t delivered = now.safe_deliveries - was.safe_deliveries;
+      ASSERT_EQ(delivered, sent) << nodes << " members, node " << n;
+      if (n == 0) continue;  // the sequencer receives no ORDERED
+      const std::uint64_t packets = now.ordered_received - was.ordered_received;
+      if (nodes > 16) {
+        EXPECT_LT(packets, delivered) << "node " << n << " received no packed frames";
+        EXPECT_EQ(now.max_frames_per_packet, 2u) << "node " << n;
+      } else {
+        EXPECT_EQ(packets, delivered) << "node " << n;
+        EXPECT_EQ(now.max_frames_per_packet, 1u) << "node " << n;
+      }
+    }
+    EXPECT_EQ(c.gc(0).stats().messages_ordered - before[0].messages_ordered, sent);
+    c.check_all_invariants();
+  }
+}
+
+TEST(GcRegression, HeldDataAtGatherIsOrderedOnceInTheNextConfiguration) {
+  // Node 5 sends two DATA back to back; the sequencer of the 20-member
+  // group holds the first while the second waits on its CPU. A partition
+  // starts the gather at that instant: the held DATA has no sequence number
+  // and is dropped, and the second arrives in the gather and is dropped
+  // too. Neither is ordered in the old configuration; node 5 re-sends both,
+  // and every member of the next configuration delivers each exactly once,
+  // in FIFO order, there.
+  constexpr NodeId kNodes = 20;
+  NetworkParams params;
+  params.detect_delay = 0;  // the gather starts at the partition's instant
+  GcCluster c(kNodes, 7, params);
+  std::vector<NodeId> all, majority;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    all.push_back(n);
+    if (n != kNodes - 1) majority.push_back(n);
+  }
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged(all));
+  const ConfigId old_config = c.gc(0).config().id;
+  const GcStats was = c.gc(0).stats();
+
+  c.multicast(5, 1);
+  c.multicast(5, 2);
+  auto held = [&c, &was] {
+    const GcStats& now = c.gc(0).stats();
+    return now.data_received - was.data_received == 1 &&
+           now.messages_ordered == was.messages_ordered;
+  };
+  for (int step = 0; step < 10'000 && !held(); ++step) c.sim().run(1);
+  ASSERT_TRUE(held()) << "the sequencer never held the first DATA";
+  c.net().set_components({majority, {kNodes - 1}});
+  c.run_for(seconds(1));
+  ASSERT_TRUE(c.converged(majority));
+  // Two DATA in the old configuration (one held, one met the gather), two re-sent.
+  EXPECT_EQ(c.gc(0).stats().data_received - was.data_received, 4u);
+
+  for (NodeId n : majority) {
+    std::vector<std::int64_t> got;
+    for (const auto& d : c.record(n).deliveries) {
+      const auto [sender, k] = parse_payload(d.payload);
+      if (sender != 5) continue;
+      EXPECT_FALSE(d.config == old_config) << "node " << n << " k" << k;
+      EXPECT_TRUE(d.config == c.gc(n).config().id) << "node " << n << " k" << k;
+      got.push_back(k);
+    }
+    EXPECT_EQ(got, (std::vector<std::int64_t>{1, 2})) << "node " << n;
+  }
+  c.check_all_invariants();
+}
+
+TEST(GcRegression, HeldDataGoesOutWhenTheNextReceiptIsNotGc) {
+  // The receipt a held DATA waits for may belong to another channel. The
+  // sequencer then sends it once its CPU is idle, rather than at the next
+  // gc receipt, which in a quiet group never comes.
+  constexpr NodeId kNodes = 20;
+  NetworkParams params;
+  params.jitter = 0;  // the DATA arrives first, the larger direct packet right after
+  GcCluster c(kNodes, 7, params);
+  std::vector<NodeId> all;
+  for (NodeId n = 0; n < kNodes; ++n) all.push_back(n);
+  c.run_for(millis(500));
+  ASSERT_TRUE(c.converged(all));
+  const std::uint64_t ordered = c.gc(0).stats().messages_ordered;
+  c.multicast(5, 1);
+  c.net().send(6, 0, Bytes(200), Channel::kDirect);
+  c.run_for(millis(50));
+  EXPECT_EQ(c.gc(0).stats().messages_ordered, ordered + 1);
+  for (NodeId n : all) {
+    const auto& ds = c.record(n).deliveries;
+    ASSERT_FALSE(ds.empty()) << "node " << n;
+    EXPECT_EQ(parse_payload(ds.back().payload), std::make_pair(NodeId{5}, std::int64_t{1}))
+        << "node " << n;
+  }
+  c.check_all_invariants();
+}
+
 }  // namespace
 }  // namespace tordb::gc

@@ -314,6 +314,29 @@ TEST_F(NetworkTest, ProcessingSerializesOnReceiver) {
   EXPECT_GE(net_.busy_until(1), 100 * per);
 }
 
+TEST_F(NetworkTest, ReceiptQueuedSeesTheNextDatagram) {
+  // An idle node has nothing queued. Two packets that arrive back to back
+  // queue on node 1's CPU: while the first one's handler runs the second
+  // waits, and while the second's runs nothing does, even after the
+  // handler charges node 1 for a send.
+  EXPECT_FALSE(net_.receipt_queued(1));
+  std::vector<bool> queued;
+  net_.set_packet_handler(1, [&](NodeId, const Bytes&) {
+    queued.push_back(net_.receipt_queued(1));
+    net_.send(1, 3, payload({7}));
+  });
+  net_.send(0, 1, payload({1, 2}));
+  net_.send(2, 1, payload({3, 4}));
+  sim_.run();
+  EXPECT_EQ(queued, (std::vector<bool>{true, false}));
+  EXPECT_FALSE(net_.receipt_queued(1));
+  // Busy time counts both receipts and both sends, on the sim clock.
+  const NetworkParams& p = net_.params();
+  EXPECT_EQ(net_.cpu_busy(1), 2 * (p.proc_per_message + 2 * p.proc_per_byte) +
+                                  2 * p.send_per_message);
+  EXPECT_EQ(net_.cpu_busy(0), p.send_per_message);
+}
+
 TEST_F(NetworkTest, LatencyScalesWithSize) {
   SimTime t_small = 0, t_big = 0;
   net_.set_packet_handler(1, [&](NodeId, const Bytes& p) {
